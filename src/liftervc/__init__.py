@@ -9,17 +9,17 @@ from .chain import (ChainResult, backward_chain, chain_backward, chain_forward,
 from .config import AnalysisConfig, RunConfig, TrainConfig
 from .dataset import TrainingSet, build_dataset
 from .filters import (SubbandGate, conversion_filters, design_filter,
-                      gate_weights, subband_gate, truncate_filter,
-                      truncated_spectrum)
+                      design_filter_adjoint, gate_weights, subband_gate,
+                      truncate_filter)
 from .model import (AcousticModel, Adam, ModelFileError, constant_model,
                     load_model, save_model)
 from .runtime import (BenchRow, MetricsReport, bench_filtering, convert,
                       cumulative_power, eval_rmse, power_threshold_tap)
-from .spectral import Waveform, dft, idft, ola_filter, stft
+from .spectral import Waveform, ola_filter, stft
 from .synthetic import (SweepResult, default_differential, make_corpus,
                         make_pair, run_tap_sweep, spectral_tilt_cepstrum,
                         synth_source)
-from .training import (TrainLog, chain_loss, pretrain_conventional,
+from .training import (TrainLog, frame_losses, pretrain_conventional,
                        train_lifter)
 from .wavio import wav_read, wav_write
 
@@ -30,14 +30,14 @@ __all__ = [
     "ChainResult", "Lifter", "MAG_FLOOR", "MetricsReport", "ModelFileError",
     "RunConfig", "SubbandGate", "SweepResult", "TrainConfig", "TrainingSet",
     "TrainLog", "Waveform", "align_pair", "backward_chain", "bench_filtering",
-    "build_dataset", "chain_backward", "chain_forward", "chain_loss",
-    "constant_model", "conversion_filters", "convert", "cumulative_power",
-    "default_differential",
-    "design_filter", "dft", "dtw_align", "eval_rmse", "forward_chain",
-    "gate_weights", "idft", "load_model", "make_corpus", "make_pair",
+    "build_dataset", "chain_backward", "chain_forward", "constant_model",
+    "conversion_filters", "convert", "cumulative_power",
+    "default_differential", "design_filter", "design_filter_adjoint",
+    "dtw_align", "eval_rmse", "forward_chain", "frame_losses",
+    "gate_weights", "load_model", "make_corpus", "make_pair",
     "minimum_phase_lifter", "ola_filter", "power_threshold_tap",
     "pretrain_conventional", "real_cepstrum", "reconstruct_spectrum",
     "run_tap_sweep", "save_model", "spectral_tilt_cepstrum", "stft",
     "subband_gate", "synth_source", "train_lifter", "trim_silence",
-    "truncate_filter", "truncated_spectrum", "wav_read", "wav_write",
+    "truncate_filter", "wav_read", "wav_write",
 ]

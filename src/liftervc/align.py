@@ -92,12 +92,6 @@ def dtw_align(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return np.array(path[::-1], dtype=np.intp)
 
 
-def dtw_cost(src: np.ndarray, tgt: np.ndarray, path: np.ndarray) -> float:
-    """Summed Euclidean distance along an alignment path."""
-    diffs = np.asarray(src)[path[:, 0]] - np.asarray(tgt)[path[:, 1]]
-    return float(np.sqrt((diffs * diffs).sum(axis=1)).sum())
-
-
 @dataclass
 class AlignedPair:
     """Time-aligned training material for one utterance pair.

@@ -6,9 +6,14 @@ the acoustic model and the lifter. The forward pass mirrors conversion
 frame by frame:
 
     differential cepstrum -> lifter product -> zero-pad -> DFT -> exp
-    -> (optional sub-band gate) -> IDFT -> keep first l taps -> DFT
-    -> multiply with the source spectrum -> floored log magnitude
-    -> IDFT -> first c quefrencies -> squared error against the target
+    -> filters.design_filter (optional sub-band gate, onset rotation, IDFT,
+    keep l taps) -> DFT -> multiply with the source spectrum -> floored log
+    magnitude -> IDFT -> first c quefrencies -> squared error against the
+    target
+
+The spectrum and the taps come from the same cepstral.reconstruct_spectrum
+and filters.design_filter that conversion calls, so the chain scores
+exactly the filter `convert` applies.
 
 Everything here is float64/complex128 numpy; the backward pass is written
 out by hand. Complex gradients follow the real-pair convention
@@ -25,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cepstral import MAG_FLOOR
+from .cepstral import MAG_FLOOR, reconstruct_spectrum
 from .config import AnalysisConfig
-from .filters import SubbandGate, gate_weights
+from .filters import SubbandGate, design_filter, design_filter_adjoint
 from .model import AcousticModel
 
 
@@ -44,7 +49,7 @@ class ChainCache:
     above_floor: np.ndarray
     err: np.ndarray
     taps: int
-    gate_w: np.ndarray | None
+    gate: SubbandGate | None
 
 
 @dataclass
@@ -73,25 +78,10 @@ def chain_forward(cep_d: np.ndarray, lifter: np.ndarray, spec_x: np.ndarray,
     tgt_cep = np.atleast_2d(np.asarray(tgt_cep, dtype=np.float64))
     spec_x = np.atleast_2d(np.asarray(spec_x, dtype=np.complex128))
     lifter = np.asarray(lifter, dtype=np.float64)
-    if not 0 < taps <= n:
-        raise ValueError(f"taps must be in 1..{n}")
-    if cep_d.shape[1] != c or lifter.shape != (c,):
-        raise ValueError(f"cepstrum and lifter must have length {c}")
-
-    batch = cep_d.shape[0]
-    padded = np.zeros((batch, n))
-    padded[:, :c] = cep_d * lifter
-    spec_d = np.exp(np.fft.fft(padded, axis=1))
-    if gate is not None:
-        gate_w = gate_weights(gate, cfg)
-        spec_g = 1.0 + gate_w * (spec_d - 1.0)
-    else:
-        gate_w = None
-        spec_g = spec_d
-    f_d = np.fft.ifft(spec_g, axis=1).real
-    f_l = f_d.copy()
-    f_l[:, taps:] = 0.0
-    spec_y = spec_x * np.fft.fft(f_l, axis=1)
+    # reconstruct_spectrum checks the lengths, design_filter the taps.
+    spec_d = reconstruct_spectrum(cep_d, lifter, cfg)
+    f_l, _ = design_filter(spec_d, cfg, taps, gate)
+    spec_y = spec_x * np.fft.fft(f_l, n=n, axis=1)
     mag = np.abs(spec_y)
     mag_floored = np.maximum(mag, MAG_FLOOR)
     cep_y = np.fft.ifft(np.log(mag_floored), axis=1).real[:, :c]
@@ -104,7 +94,7 @@ def chain_forward(cep_d: np.ndarray, lifter: np.ndarray, spec_x: np.ndarray,
                            spec_d=spec_d, spec_y=spec_y,
                            mag_floored=mag_floored,
                            above_floor=mag > MAG_FLOOR, err=err,
-                           taps=taps, gate_w=gate_w)
+                           taps=taps, gate=gate)
     return ChainResult(cep_y=cep_y, frame_losses=frame_losses,
                        loss=float(frame_losses.mean()), cache=cache)
 
@@ -126,15 +116,8 @@ def chain_backward(cache: ChainCache, cfg: AnalysisConfig):
                         g_logmag / (cache.mag_floored * cache.mag_floored),
                         0.0) * cache.spec_y
     g_spec_l = np.conj(cache.spec_x) * g_spec_y
-    g_f_l = np.fft.ifft(g_spec_l, axis=1).real * n
-    # Truncation window: gradients beyond the kept taps vanish.
-    g_f_d = g_f_l
-    g_f_d[:, cache.taps:] = 0.0
-    g_spec_g = np.fft.fft(g_f_d, axis=1) / n
-    if cache.gate_w is not None:
-        g_spec_d = cache.gate_w * g_spec_g
-    else:
-        g_spec_d = g_spec_g
+    g_f_l = np.fft.ifft(g_spec_l, axis=1).real[:, :cache.taps] * n
+    g_spec_d = design_filter_adjoint(g_f_l, cfg, cache.gate)
     g_log_spec = np.conj(cache.spec_d) * g_spec_d
     g_padded = np.fft.ifft(g_log_spec, axis=1).real * n
     g_liftered = g_padded[:, :c]
@@ -145,23 +128,16 @@ def chain_backward(cache: ChainCache, cfg: AnalysisConfig):
 
 def forward_chain(model: AcousticModel, cep_x: np.ndarray, spec_x: np.ndarray,
                   tgt_cep: np.ndarray, taps: int,
-                  gate: SubbandGate | None = None,
-                  lifter: np.ndarray | None = None, train: bool = False,
+                  gate: SubbandGate | None = None, train: bool = False,
                   update_stats: bool | None = None,
                   keep_cache: bool = False) -> ChainResult:
     """Model-in-the-loop forward pass: estimate differential cepstra from the
-    source cepstra, then run the truncation chain.
-
-    lifter overrides the model's own lifter coefficients when given (used to
-    score a model against the fixed minimum-phase lifter).
-    """
-    if lifter is None:
-        lifter = model.lifter.coeffs
+    source cepstra, then run the truncation chain with the model's lifter."""
     cep_d, model_cache = model.forward(cep_x, train=train,
                                        update_stats=update_stats,
                                        return_cache=True)
-    result = chain_forward(cep_d, lifter, spec_x, tgt_cep, taps, model.cfg,
-                           gate=gate, keep_cache=keep_cache)
+    result = chain_forward(cep_d, model.lifter.coeffs, spec_x, tgt_cep, taps,
+                           model.cfg, gate=gate, keep_cache=keep_cache)
     if keep_cache:
         result.cache = (result.cache, model_cache)
     return result

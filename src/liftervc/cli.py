@@ -117,7 +117,7 @@ def cmd_train_lifter(args) -> int:
     train_data = _load_split(run, "train")
     val_data = _load_split(run, "val") if _dataset_paths(run)["val"].exists() else None
     gate = None
-    if run.subband_enabled and run.train.gate_in_training:
+    if run.subband_enabled:
         gate = SubbandGate(run.subband_crossover_hz, run.subband_steepness_hz)
     log = train_lifter(model, train_data, train_cfg, val_data, gate=gate)
 

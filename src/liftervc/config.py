@@ -64,7 +64,6 @@ class TrainConfig:
     batch_size: int = 1000
     epochs: int = 100
     seed: int = 0
-    gate_in_training: bool = False
 
     def __post_init__(self) -> None:
         if self.taps <= 0:

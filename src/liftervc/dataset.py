@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,15 +42,8 @@ class TrainingSet:
     def n_utterances(self) -> int:
         return len(self.offsets) - 1
 
-    def utterance(self, u: int) -> AlignedPair:
-        a, b = self.offsets[u], self.offsets[u + 1]
-        return AlignedPair(self.src_cep[a:b], self.tgt_cep[a:b], self.src_spec[a:b])
-
     def save(self, path, cfg: AnalysisConfig) -> None:
-        meta = json.dumps({
-            "sample_rate": cfg.sample_rate, "window_len": cfg.window_len,
-            "hop": cfg.hop, "fft_len": cfg.fft_len, "cep_dim": cfg.cep_dim,
-            "window": cfg.window}, sort_keys=True)
+        meta = json.dumps(asdict(cfg), sort_keys=True)
         np.savez(path, src_cep=self.src_cep, tgt_cep=self.tgt_cep,
                  src_spec=self.src_spec, offsets=self.offsets,
                  meta=np.array(meta))

@@ -15,46 +15,12 @@ log = logging.getLogger(__name__)
 IMAG_RESIDUAL_TOL = 1e-6
 
 
-def _real_impulse_response(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse transform of a filter spectrum, dropping the imaginary part.
-
-    The spectrum of any real liftered cepstrum is conjugate-symmetric, so the
-    residual should be rounding noise only; a larger residual is logged.
-    """
-    h = np.fft.ifft(spectrum, axis=-1)
-    residual = float(np.max(np.abs(h.imag))) if h.size else 0.0
-    if residual > IMAG_RESIDUAL_TOL:
-        log.warning("imaginary residual %.3e in impulse response", residual)
-    return np.ascontiguousarray(h.real)
-
-
-def design_filter(cep_d: np.ndarray, lifter: np.ndarray, cfg: AnalysisConfig,
-                  gate: "SubbandGate | None" = None) -> np.ndarray:
-    """Full-length time-domain differential filter for a differential cepstrum.
-
-    Equivalent to idft(reconstruct_spectrum(cep_d, lifter)), with the
-    sub-band gate (if any) applied to the spectrum before the inverse
-    transform; the result has fft_len taps per frame. A zero cepstrum yields
-    the unit impulse.
-    """
-    spec = reconstruct_spectrum(cep_d, lifter, cfg)
-    return _real_impulse_response(subband_gate(spec, gate, cfg))
-
-
 def truncate_filter(taps: np.ndarray, length: int) -> np.ndarray:
     """Keep the first `length` taps (rectangular quefrency window, zeros dropped)."""
     taps = np.asarray(taps)
     if not 0 < length <= taps.shape[-1]:
         raise ValueError(f"truncation length must be in 1..{taps.shape[-1]}")
     return np.ascontiguousarray(taps[..., :length])
-
-
-def truncated_spectrum(taps: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
-    """Spectrum of a (possibly truncated) filter, zero-padded to fft_len."""
-    taps = np.asarray(taps)
-    if taps.shape[-1] > cfg.fft_len:
-        raise ValueError("filter longer than fft_len")
-    return np.fft.fft(taps, n=cfg.fft_len, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -104,26 +70,70 @@ def subband_gate(spec_d: np.ndarray, gate: SubbandGate | None,
     return 1.0 + g * (spec_d - 1.0)
 
 
-def conversion_filters(cep_d: np.ndarray, lifter: np.ndarray,
-                       cfg: AnalysisConfig, taps: int,
-                       gate: SubbandGate | None = None):
-    """Causal FIR filters for waveform conversion, plus their onset delay.
+def _onset_rotation(cfg: AnalysisConfig, taps: int):
+    """Onset delay of a gated `taps`-long filter, and the per-bin phase ramp
+    that moves its time origin that many taps in.
 
     Ungated differential filters are built from a causal liftered cepstrum,
-    so their response starts at tap 0 and the delay is 0. The gate's
+    so their response starts at tap 0 and needs no delay. The gate's
     frequency weighting has a symmetric kernel, which gives the gated
     spectrum a small acausal component; rendered naively it wraps onto the
     last taps and ruins the response between bin centers. Instead the
     response is rotated so its time origin sits `delay` taps in, and the
-    overlap-add stage drops that many leading samples to compensate.
+    overlap-add stage drops that many leading samples to compensate. The
+    delay is large enough for the gate kernel's acausal lobe at full length,
+    while heavily truncated filters keep most of their window for the main
+    response.
     """
-    spec = reconstruct_spectrum(cep_d, lifter, cfg)
-    if gate is None:
-        return truncate_filter(_real_impulse_response(spec), taps), 0
-    spec = subband_gate(spec, gate, cfg)
-    # Large enough for the gate kernel's acausal lobe at full length, while
-    # heavily truncated filters keep most of their window for the main
-    # response.
     delay = min(cfg.fft_len // 4, taps // 2)
-    rotation = np.exp(-2j * np.pi * np.arange(cfg.fft_len) * delay / cfg.fft_len)
-    return truncate_filter(_real_impulse_response(spec * rotation), taps), delay
+    k = np.arange(cfg.fft_len)
+    return delay, np.exp(-2j * np.pi * k * delay / cfg.fft_len)
+
+
+def design_filter(spec_d: np.ndarray, cfg: AnalysisConfig, taps: int,
+                  gate: SubbandGate | None = None):
+    """The FIR filters conversion applies, plus their onset delay.
+
+    spec_d: (..., fft_len) differential-filter spectra from
+    reconstruct_spectrum. The spectrum is gated and rotated by the onset
+    delay (if a gate is given), inverse transformed, and cut to `taps`.
+    Returns (filters of shape (..., taps), delay). The training chain scores
+    exactly these taps, so what it optimizes is what conversion applies.
+    """
+    delay = 0
+    if gate is not None:
+        delay, rotation = _onset_rotation(cfg, taps)
+        spec_d = subband_gate(spec_d, gate, cfg) * rotation
+    h = np.fft.ifft(spec_d, axis=-1)
+    # The spectrum of any real liftered cepstrum is conjugate-symmetric, so
+    # the imaginary part should be rounding noise only.
+    residual = float(np.max(np.abs(h.imag))) if h.size else 0.0
+    if residual > IMAG_RESIDUAL_TOL:
+        log.warning("imaginary residual %.3e in impulse response", residual)
+    return truncate_filter(h.real, taps), delay
+
+
+def design_filter_adjoint(g_taps: np.ndarray, cfg: AnalysisConfig,
+                          gate: SubbandGate | None = None) -> np.ndarray:
+    """Pull a gradient on design_filter's taps back to its input spectrum.
+
+    g_taps: (..., taps) gradient w.r.t. the cut filters. Returns the complex
+    gradient w.r.t. spec_d under the real-pair convention (see chain.py):
+    the cut zero-pads, the real inverse DFT pulls back as the DFT over
+    fft_len, the rotation by its conjugate, and the gate by its weights.
+    """
+    n = cfg.fft_len
+    g_spec = np.fft.fft(g_taps, n=n, axis=-1) / n
+    if gate is None:
+        return g_spec
+    _, rotation = _onset_rotation(cfg, g_taps.shape[-1])
+    return gate_weights(gate, cfg) * (np.conj(rotation) * g_spec)
+
+
+def conversion_filters(cep_d: np.ndarray, lifter: np.ndarray,
+                       cfg: AnalysisConfig, taps: int,
+                       gate: SubbandGate | None = None):
+    """Causal FIR filters for a batch of differential cepstra, plus their
+    onset delay: design_filter of the liftered cepstra's spectra."""
+    return design_filter(reconstruct_spectrum(cep_d, lifter, cfg), cfg, taps,
+                         gate)

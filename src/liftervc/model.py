@@ -27,6 +27,7 @@ from __future__ import annotations
 import copy
 import json
 import struct
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -294,12 +295,7 @@ class Adam:
 
 def _config_block(model: AcousticModel) -> bytes:
     doc = {
-        "sample_rate": model.cfg.sample_rate,
-        "window_len": model.cfg.window_len,
-        "hop": model.cfg.hop,
-        "fft_len": model.cfg.fft_len,
-        "cep_dim": model.cfg.cep_dim,
-        "window": model.cfg.window,
+        **asdict(model.cfg),
         "hidden": list(model.hidden),
         "lifter_trainable": bool(model.lifter.trainable),
         "bn_eps": BN_EPS,
@@ -332,10 +328,8 @@ def load_model(path, expected_cfg: AnalysisConfig | None = None) -> AcousticMode
         raise ModelFileError("corrupt model file (truncated config)")
     try:
         doc = json.loads(data[offset:offset + blob_len])
-        cfg = AnalysisConfig(
-            sample_rate=doc["sample_rate"], window_len=doc["window_len"],
-            hop=doc["hop"], fft_len=doc["fft_len"], cep_dim=doc["cep_dim"],
-            window=doc["window"])
+        cfg = AnalysisConfig(**{f.name: doc[f.name]
+                                for f in fields(AnalysisConfig)})
         hidden = tuple(doc["hidden"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelFileError(f"corrupt model file (bad config: {exc})") from exc

@@ -9,12 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cepstral import real_cepstrum
-from .chain import forward_chain
 from .config import AnalysisConfig
 from .dataset import TrainingSet
-from .filters import SubbandGate, conversion_filters, design_filter, truncate_filter
+from .filters import SubbandGate, conversion_filters, truncate_filter
 from .model import AcousticModel
 from .spectral import Waveform, frame_count, ola_filter, stft
+from .training import frame_losses
 
 log = logging.getLogger(__name__)
 
@@ -66,25 +66,13 @@ class MetricsReport:
             fh.write(f"all,{self.rmse!r}\n")
 
 
-def _chain_frame_losses(model: AcousticModel, data: TrainingSet, taps: int,
-                        gate: SubbandGate | None,
-                        batch_size: int = 2048) -> np.ndarray:
-    losses = np.empty(len(data))
-    for a in range(0, len(data), batch_size):
-        result = forward_chain(model, data.src_cep[a:a + batch_size],
-                               data.src_spec[a:a + batch_size],
-                               data.tgt_cep[a:a + batch_size], taps, gate=gate)
-        losses[a:a + batch_size] = result.frame_losses
-    return losses
-
-
 def eval_rmse(model: AcousticModel, data: TrainingSet, taps: int,
               gate: SubbandGate | None = None) -> MetricsReport:
     """Root of the mean squared cepstral error through the truncation chain,
     per utterance and pooled."""
     if len(data) == 0:
         raise ValueError("empty evaluation set")
-    losses = _chain_frame_losses(model, data, taps, gate)
+    losses = frame_losses(model, data, taps, gate)
     per_utt = np.array([
         np.sqrt(losses[data.offsets[u]:data.offsets[u + 1]].mean())
         for u in range(data.n_utterances)])
@@ -107,7 +95,8 @@ def cumulative_power(model: AcousticModel, data: TrainingSet,
     total = np.zeros(cfg.fft_len)
     for a in range(0, len(data), batch_size):
         cep_d = model.forward(data.src_cep[a:a + batch_size])
-        filters = design_filter(cep_d, model.lifter.coeffs, cfg)
+        filters, _ = conversion_filters(cep_d, model.lifter.coeffs, cfg,
+                                        cfg.fft_len)
         power = filters * filters
         cum = np.cumsum(power, axis=1)
         total += (cum / cum[:, -1:]).sum(axis=0)

@@ -1,9 +1,8 @@
-"""Windowed analysis, DFTs, and time-varying overlap-add FIR filtering."""
+"""Windowed analysis and time-varying overlap-add FIR filtering."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,22 +70,6 @@ def stft(wave: Waveform, cfg: AnalysisConfig) -> np.ndarray:
         padded, cfg.window_len)[::cfg.hop]
     frames = frames * analysis_window(cfg)
     return np.fft.fft(frames, n=cfg.fft_len, axis=1)
-
-
-def dft(x: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Forward DFT along the last axis; if n is given the input length must match."""
-    x = np.asarray(x)
-    if n is not None and x.shape[-1] != n:
-        raise ValueError(f"length mismatch: expected {n}, got {x.shape[-1]}")
-    return np.fft.fft(x, axis=-1)
-
-
-def idft(x: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Inverse DFT along the last axis; exact inverse of dft up to rounding."""
-    x = np.asarray(x)
-    if n is not None and x.shape[-1] != n:
-        raise ValueError(f"length mismatch: expected {n}, got {x.shape[-1]}")
-    return np.fft.ifft(x, axis=-1)
 
 
 def _segments(samples: np.ndarray, hop: int, n_frames: int) -> np.ndarray:

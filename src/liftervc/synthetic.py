@@ -20,10 +20,11 @@ import numpy as np
 from .cepstral import Lifter
 from .config import AnalysisConfig, RunConfig, TrainConfig
 from .dataset import TrainingSet, build_dataset
-from .filters import design_filter
+from .filters import conversion_filters
 from .model import AcousticModel
+from .runtime import eval_rmse
 from .spectral import Waveform
-from .training import TrainLog, chain_loss, pretrain_conventional, train_lifter
+from .training import TrainLog, pretrain_conventional, train_lifter
 
 log = logging.getLogger(__name__)
 
@@ -117,7 +118,8 @@ def make_pair(cfg: AnalysisConfig, delta_cep: np.ndarray, duration_s: float,
     """One (source, target) utterance pair: the target is the source filtered
     by the full minimum-phase filter of delta_cep."""
     src = synth_source(cfg, duration_s, rng, edge_silence_s)
-    taps = design_filter(delta_cep, Lifter.minimum_phase(cfg).coeffs, cfg)
+    taps, _ = conversion_filters(delta_cep, Lifter.minimum_phase(cfg).coeffs,
+                                 cfg, cfg.fft_len)
     tgt = np.convolve(src.samples, taps)[:len(src)]
     peak = max(np.max(np.abs(tgt)), np.max(np.abs(src.samples)))
     scale = min(1.0, 0.95 / peak)
@@ -239,18 +241,18 @@ def run_tap_sweep(taps=(32, 48, 64, 128), cfg: AnalysisConfig | None = None,
                           finetune_lr=finetune_lr, batch_size=batch_size,
                           epochs=pretrain_epochs, seed=seed)
     pretrain_log = pretrain_conventional(model, train_data, pre_cfg, val_data)
-    baseline = float(np.sqrt(chain_loss(model, val_data, cfg.fft_len)))
+    baseline = eval_rmse(model, val_data, cfg.fft_len).rmse
     log.info("pretrained: val rmse %.5f without truncation", baseline)
 
     fixed, trained, tuned_models, ft_logs = {}, {}, {}, {}
     for l in taps:
-        fixed[l] = float(np.sqrt(chain_loss(model, val_data, l)))
+        fixed[l] = eval_rmse(model, val_data, l).rmse
         tuned = model.copy()
         ft_cfg = TrainConfig(taps=l, pretrain_lr=pretrain_lr,
                              finetune_lr=finetune_lr, batch_size=batch_size,
                              epochs=finetune_epochs, seed=seed)
         ft_logs[l] = train_lifter(tuned, train_data, ft_cfg, val_data)
-        trained[l] = float(np.sqrt(chain_loss(tuned, val_data, l)))
+        trained[l] = eval_rmse(tuned, val_data, l).rmse
         tuned_models[l] = tuned
         log.info("taps %3d: fixed rmse %.5f, trained rmse %.5f",
                  l, fixed[l], trained[l])

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -53,24 +51,13 @@ class TrainLog:
                   for r in self.rows]
         return ("\n".join(lines) + "\n").encode()
 
-    @classmethod
-    def from_csv(cls, path) -> "TrainLog":
-        log = cls()
-        with open(path, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                log.append(EpochRow(
-                    epoch=int(rec["epoch"]),
-                    train_loss=float(rec["train_loss"]),
-                    val_loss=float(rec["val_loss"]),
-                    rmse=float(rec["rmse"]),
-                    wall_time_s=float(rec["wall_time_s"])))
-        return log
-
 
 def set_normalization(model: AcousticModel, data: TrainingSet) -> None:
     """Freeze feature statistics into the model: inputs are z-scored by the
     source cepstra, outputs are de-normalized by the target-minus-source
     differential statistics."""
+    if len(data) == 0:
+        raise ValueError("empty training set")
     model.in_mean = data.src_cep.mean(axis=0)
     model.in_std = np.maximum(data.src_cep.std(axis=0), STD_FLOOR)
     diff = data.tgt_cep - data.src_cep
@@ -78,39 +65,59 @@ def set_normalization(model: AcousticModel, data: TrainingSet) -> None:
     model.out_std = np.maximum(diff.std(axis=0), STD_FLOOR)
 
 
-def cepstral_loss(model: AcousticModel, data: TrainingSet,
-                  batch_size: int = 4096) -> float:
-    """Mean squared cepstral error of the conventional additive estimate
-    (source plus predicted differential), in inference mode."""
-    total = 0.0
-    for a in range(0, len(data), batch_size):
-        xb = data.src_cep[a:a + batch_size]
-        err = xb + model.forward(xb) - data.tgt_cep[a:a + batch_size]
-        total += float((err * err).sum())
-    return total / len(data)
+def frame_losses(model: AcousticModel, data: TrainingSet,
+                 taps: int | None = None, gate: SubbandGate | None = None,
+                 batch_size: int = 2048) -> np.ndarray:
+    """Per-frame squared cepstral error of a model over a dataset, in
+    inference mode.
 
-
-def chain_loss(model: AcousticModel, data: TrainingSet, taps: int,
-               gate: SubbandGate | None = None,
-               lifter: np.ndarray | None = None,
-               batch_size: int = 2048) -> float:
-    """Mean squared cepstral error through the truncation chain, in
-    inference mode. A lifter override scores the model against coefficients
-    other than its own (e.g. the fixed minimum-phase lifter)."""
-    total = 0.0
+    With taps, the target estimate is what the truncated filter produces,
+    scored through the chain; without, it is the conventional additive
+    estimate (source plus predicted differential).
+    """
+    losses = np.empty(len(data))
     for a in range(0, len(data), batch_size):
-        result = forward_chain(
-            model, data.src_cep[a:a + batch_size],
-            data.src_spec[a:a + batch_size],
-            data.tgt_cep[a:a + batch_size], taps, gate=gate, lifter=lifter)
-        total += float(result.frame_losses.sum())
-    return total / len(data)
+        rows = slice(a, a + batch_size)
+        x, tgt = data.src_cep[rows], data.tgt_cep[rows]
+        if taps is None:
+            err = x + model.forward(x) - tgt
+            losses[rows] = (err * err).sum(axis=1)
+        else:
+            losses[rows] = forward_chain(model, x, data.src_spec[rows], tgt,
+                                         taps, gate=gate).frame_losses
+    return losses
 
 
 def _batches(n_frames: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n_frames)
     for a in range(0, n_frames, batch_size):
         yield perm[a:a + batch_size]
+
+
+def _run_epochs(data: TrainingSet, val_data: TrainingSet | None,
+                cfg: TrainConfig, entries: list, lr: float, step,
+                score) -> TrainLog:
+    """The epoch loop both training stages share: Adam over shuffled frame
+    batches. step(idx) returns the batch's summed frame loss and the
+    gradients keyed like entries; score(val_data) is the validation loss,
+    which falls back to the training loss without validation data."""
+    if len(data) == 0:
+        raise ValueError("empty training set")
+    rng = np.random.default_rng(cfg.seed)
+    opt = Adam([arr for _, arr in entries], lr=lr)
+    log = TrainLog()
+    for epoch in range(1, cfg.epochs + 1):
+        t0 = time.perf_counter()
+        total = 0.0
+        for idx in _batches(len(data), cfg.batch_size, rng):
+            batch_total, grads = step(idx)
+            total += batch_total
+            opt.step([grads[name] for name, _ in entries])
+        train_loss = total / len(data)
+        val = score(val_data) if val_data is not None else train_loss
+        log.append(EpochRow(epoch, train_loss, val, float(np.sqrt(val)),
+                            time.perf_counter() - t0))
+    return log
 
 
 def pretrain_conventional(model: AcousticModel, data: TrainingSet,
@@ -123,28 +130,18 @@ def pretrain_conventional(model: AcousticModel, data: TrainingSet,
     the model's normalization statistics from the training set. The reported
     rmse is the root of the validation loss.
     """
-    if len(data) == 0:
-        raise ValueError("empty training set")
     set_normalization(model, data)
-    rng = np.random.default_rng(cfg.seed)
-    entries = model.trainable_entries()
-    opt = Adam([arr for _, arr in entries], lr=cfg.pretrain_lr)
-    log = TrainLog()
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        total = 0.0
-        for idx in _batches(len(data), cfg.batch_size, rng):
-            xb = data.src_cep[idx]
-            cep_d, cache = model.forward(xb, train=True, return_cache=True)
-            err = xb + cep_d - data.tgt_cep[idx]
-            total += float((err * err).sum())
-            grads, _ = model.backward(cache, (2.0 / len(idx)) * err)
-            opt.step([grads[name] for name, _ in entries])
-        train_loss = total / len(data)
-        val_loss = cepstral_loss(model, val_data) if val_data is not None else train_loss
-        log.append(EpochRow(epoch, train_loss, val_loss, float(np.sqrt(val_loss)),
-                            time.perf_counter() - t0))
-    return log
+
+    def step(idx):
+        xb = data.src_cep[idx]
+        cep_d, cache = model.forward(xb, train=True, return_cache=True)
+        err = xb + cep_d - data.tgt_cep[idx]
+        grads, _ = model.backward(cache, (2.0 / len(idx)) * err)
+        return float((err * err).sum()), grads
+
+    return _run_epochs(data, val_data, cfg, model.trainable_entries(),
+                       cfg.pretrain_lr, step,
+                       lambda val: float(frame_losses(model, val).mean()))
 
 
 def train_lifter(model: AcousticModel, data: TrainingSet, cfg: TrainConfig,
@@ -158,27 +155,16 @@ def train_lifter(model: AcousticModel, data: TrainingSet, cfg: TrainConfig,
     together with the network by Adam. The reported rmse is the root of the
     validation chain loss at cfg.taps.
     """
-    if len(data) == 0:
-        raise ValueError("empty training set")
+    def step(idx):
+        result = forward_chain(
+            model, data.src_cep[idx], data.src_spec[idx],
+            data.tgt_cep[idx], cfg.taps, gate=gate, train=True,
+            keep_cache=True)
+        return float(result.frame_losses.sum()), backward_chain(model, result)
+
+    log = _run_epochs(
+        data, val_data, cfg, model.trainable_entries(include_lifter=True),
+        cfg.finetune_lr, step,
+        lambda val: float(frame_losses(model, val, cfg.taps, gate).mean()))
     model.lifter.trainable = True
-    rng = np.random.default_rng(cfg.seed)
-    entries = model.trainable_entries(include_lifter=True)
-    opt = Adam([arr for _, arr in entries], lr=cfg.finetune_lr)
-    log = TrainLog()
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        total = 0.0
-        for idx in _batches(len(data), cfg.batch_size, rng):
-            result = forward_chain(
-                model, data.src_cep[idx], data.src_spec[idx],
-                data.tgt_cep[idx], cfg.taps, gate=gate, train=True,
-                keep_cache=True)
-            total += float(result.frame_losses.sum())
-            grads = backward_chain(model, result)
-            opt.step([grads[name] for name, _ in entries])
-        train_loss = total / len(data)
-        val_loss = (chain_loss(model, val_data, cfg.taps, gate=gate)
-                    if val_data is not None else train_loss)
-        log.append(EpochRow(epoch, train_loss, val_loss, float(np.sqrt(val_loss)),
-                            time.perf_counter() - t0))
     return log

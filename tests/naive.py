@@ -44,14 +44,20 @@ def naive_gate_weights(crossover_hz, steepness_hz, cfg):
 
 
 def naive_chain_loss(cep_d, lifter, spec_x, tgt_cep, taps, cfg, gate=None):
-    """Frame-by-frame reimplementation of the truncation-chain loss."""
+    """Frame-by-frame reimplementation of the truncation-chain loss.
+
+    A gated response is circularly shifted by the converter's onset delay,
+    min(fft_len // 4, taps // 2) taps, before the first `taps` are kept: the
+    chain scores the filter conversion applies.
+    """
     cep_d = np.atleast_2d(np.asarray(cep_d, dtype=np.float64))
     tgt_cep = np.atleast_2d(np.asarray(tgt_cep, dtype=np.float64))
     spec_x = np.atleast_2d(np.asarray(spec_x, dtype=np.complex128))
     n, c = cfg.fft_len, cfg.cep_dim
-    gate_w = None
+    gate_w, delay = None, 0
     if gate is not None:
         gate_w = naive_gate_weights(gate.crossover_hz, gate.steepness_hz, cfg)
+        delay = min(n // 4, taps // 2)
     losses = []
     for b in range(cep_d.shape[0]):
         padded = np.zeros(n)
@@ -59,7 +65,7 @@ def naive_chain_loss(cep_d, lifter, spec_x, tgt_cep, taps, cfg, gate=None):
         spec_d = np.exp(naive_dft(padded))
         if gate_w is not None:
             spec_d = 1.0 + gate_w * (spec_d - 1.0)
-        f_full = naive_idft(spec_d).real
+        f_full = np.roll(naive_idft(spec_d).real, delay)
         f_trunc = np.zeros(n)
         f_trunc[:taps] = f_full[:taps]
         spec_y = spec_x[b] * naive_dft(f_trunc)
@@ -128,6 +134,12 @@ def brute_force_dtw_cost(src, tgt):
     for path in enumerate_dtw_paths(src.shape[0], tgt.shape[0]):
         best = min(best, sum(cost[i, j] for i, j in path))
     return best
+
+
+def dtw_cost(src, tgt, path):
+    """Summed Euclidean distance along an alignment path."""
+    diffs = np.asarray(src)[path[:, 0]] - np.asarray(tgt)[path[:, 1]]
+    return float(np.sqrt((diffs * diffs).sum(axis=1)).sum())
 
 
 def naive_ola(samples, filters, hop, delay=0):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftervc import AnalysisConfig, Waveform, align_pair, dtw_align, trim_silence
-from liftervc.align import AlignedPair, alignment_features, dtw_cost
+from liftervc.align import AlignedPair, alignment_features
 
-from naive import brute_force_dtw_cost
+from naive import brute_force_dtw_cost, dtw_cost
 
 
 def test_trim_keeps_loud_blocks(small_cfg):

@@ -147,15 +147,3 @@ def test_backward_requires_cache(small_cfg, rng):
     with pytest.raises(ValueError):
         backward_chain(model, res)
 
-
-def test_lifter_override_scores_fixed_lifter(small_cfg, rng):
-    model = AcousticModel(small_cfg, hidden=(4, 3), seed=0)
-    model.lifter.coeffs[:] = 0.0  # destroyed on purpose
-    _, _, spec_x, tgt = random_instance(small_cfg, rng)
-    cep_x = real_cepstrum(spec_x, small_cfg)
-    fixed = Lifter.minimum_phase(small_cfg).coeffs
-    res = forward_chain(model, cep_x, spec_x, tgt, 8, lifter=fixed)
-    cep_d = model.forward(cep_x)
-    from liftervc import chain_forward as cf
-    want = cf(cep_d, fixed, spec_x, tgt, 8, small_cfg).loss
-    assert np.isclose(res.loss, want)

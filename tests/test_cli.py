@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -155,3 +156,46 @@ def test_convert_gated_flag(workspace, capsys):
                              "--steepness-hz", "500", capsys=capsys)
     assert code == 0, err
     assert converted.exists()
+
+
+def test_train_lifter_trains_the_gated_filter(workspace, tmp_path, capsys):
+    """With sub-band gating enabled in the config, train-lifter optimizes the
+    gated filter: its reported validation rmse is what `eval --subband`
+    scores for the tuned model, not the ungated score."""
+    for name in ("model.lvc", "train.npz", "val.npz"):
+        shutil.copy(workspace / name, tmp_path / name)
+    doc = json.loads((workspace / "config.json").read_text())
+    doc.update(model_file=str(tmp_path / "model.lvc"), output_dir=str(tmp_path),
+               subband={"enabled": True, "crossover_hz": 4000.0,
+                        "steepness_hz": 500.0})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli("train-lifter", "--config", config, "--taps", 12,
+                             capsys=capsys)
+    assert code == 0, err
+    trained = out.split("val rmse ")[1].split()[0]
+
+    def eval_rmse(*gate_flags):
+        code, out, err = run_cli("eval", "--model", tmp_path / "model.l12.lvc",
+                                 "--pairs", tmp_path / "val.npz", "--taps", 12,
+                                 *gate_flags, capsys=capsys)
+        assert code == 0, err
+        return f"{float(out.split()[1]):.6f}"
+
+    assert eval_rmse("--subband", "--crossover-hz", "4000",
+                     "--steepness-hz", "500") == trained
+    assert eval_rmse() != trained
+
+
+def test_train_lifter_rejects_gate_in_training_key(workspace, tmp_path,
+                                                   capsys):
+    """train.gate_in_training no longer exists: the gate follows
+    subband.enabled, and a config that still sets the key is refused."""
+    doc = json.loads((workspace / "config.json").read_text())
+    doc["train"]["gate_in_training"] = True
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli("train-lifter", "--config", config, capsys=capsys)
+    assert code == 1
+    assert err.startswith("error:") and "gate_in_training" in err
+    assert err.count("\n") == 1

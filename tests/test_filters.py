@@ -5,15 +5,22 @@ from liftervc import (AnalysisConfig, Lifter, SubbandGate, Waveform,
                       conversion_filters, design_filter, ola_filter,
                       real_cepstrum, reconstruct_spectrum, stft,
                       subband_gate, truncate_filter)
-from liftervc.filters import gate_weights, truncated_spectrum
+from liftervc.filters import gate_weights
 from liftervc.spectral import frame_count
 
 from naive import naive_gate_weights
 
 
+def full_filter(cep, u, cfg, gate=None):
+    """design_filter at full length, from a cepstrum."""
+    return design_filter(reconstruct_spectrum(cep, u, cfg), cfg, cfg.fft_len,
+                         gate)
+
+
 def test_design_zero_cepstrum_is_unit_impulse(small_cfg):
     u = Lifter.minimum_phase(small_cfg).coeffs
-    h = design_filter(np.zeros(small_cfg.cep_dim), u, small_cfg)
+    h, delay = full_filter(np.zeros(small_cfg.cep_dim), u, small_cfg)
+    assert delay == 0
     want = np.zeros(small_cfg.fft_len)
     want[0] = 1.0
     assert np.allclose(h, want, atol=1e-12)
@@ -22,10 +29,10 @@ def test_design_zero_cepstrum_is_unit_impulse(small_cfg):
 def test_design_filter_batched(small_cfg, rng):
     u = Lifter.minimum_phase(small_cfg).coeffs
     cep = rng.normal(size=(4, small_cfg.cep_dim)) * 0.2
-    batch = design_filter(cep, u, small_cfg)
+    batch, _ = full_filter(cep, u, small_cfg)
     assert batch.shape == (4, small_cfg.fft_len)
     for b in range(4):
-        assert np.allclose(batch[b], design_filter(cep[b], u, small_cfg))
+        assert np.allclose(batch[b], full_filter(cep[b], u, small_cfg)[0])
 
 
 def test_full_length_filter_reproduces_target_cepstrum(small_cfg, rng):
@@ -36,7 +43,7 @@ def test_full_length_filter_reproduces_target_cepstrum(small_cfg, rng):
     wave = Waveform(rng.normal(size=200) * 0.2, small_cfg.sample_rate)
     spec_x = stft(wave, small_cfg)
     cep_x = real_cepstrum(spec_x, small_cfg)
-    h = design_filter(cep_d, u, small_cfg)
+    h, _ = full_filter(cep_d, u, small_cfg)
     spec_y = spec_x * np.fft.fft(h)
     cep_y = real_cepstrum(spec_y, small_cfg)
     assert np.allclose(cep_y, cep_x + cep_d, atol=1e-9)
@@ -51,15 +58,6 @@ def test_truncate_filter_keeps_prefix(rng):
         truncate_filter(h, 0)
     with pytest.raises(ValueError):
         truncate_filter(h, 33)
-
-
-def test_truncated_spectrum_pads(small_cfg, rng):
-    h = rng.normal(size=12)
-    spec = truncated_spectrum(h, small_cfg)
-    assert spec.shape == (small_cfg.fft_len,)
-    assert np.allclose(spec, np.fft.fft(h, small_cfg.fft_len))
-    with pytest.raises(ValueError):
-        truncated_spectrum(np.zeros(small_cfg.fft_len + 1), small_cfg)
 
 
 def test_gate_weights_formula(small_cfg):
@@ -117,7 +115,7 @@ def test_conversion_filters_ungated_no_delay(small_cfg, rng):
     filt, delay = conversion_filters(cep, u, small_cfg, taps=16)
     assert delay == 0
     assert filt.shape == (3, 16)
-    assert np.allclose(filt, design_filter(cep, u, small_cfg)[:, :16])
+    assert np.allclose(filt, full_filter(cep, u, small_cfg)[0][:, :16])
 
 
 def test_conversion_filters_gated_delay_compensates(small_cfg, rng):
@@ -141,7 +139,11 @@ def test_gated_full_filter_matches_gated_spectrum(small_cfg, rng):
     u = Lifter.minimum_phase(small_cfg).coeffs
     cep = rng.normal(size=small_cfg.cep_dim) * 0.2
     gate = SubbandGate(crossover_hz=3000.0, steepness_hz=300.0)
-    h = design_filter(cep, u, small_cfg, gate=gate)
+    h, delay = full_filter(cep, u, small_cfg, gate)
+    # At full length the onset rotation is circular: undoing it recovers
+    # the gated spectrum.
+    assert delay == small_cfg.fft_len // 4
     want = subband_gate(reconstruct_spectrum(cep, u, small_cfg), gate,
                         small_cfg)
-    assert np.allclose(np.fft.fft(h), want, atol=1e-9)
+    assert np.allclose(np.fft.fft(np.roll(h, -delay)), want, atol=1e-9)
+

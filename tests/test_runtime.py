@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from liftervc import (AnalysisConfig, SubbandGate, Waveform, chain_loss,
-                      constant_model, convert, cumulative_power, eval_rmse,
+from liftervc import (MAG_FLOOR, AnalysisConfig, Lifter, SubbandGate,
+                      Waveform, chain_forward, constant_model,
+                      conversion_filters, convert, cumulative_power, eval_rmse,
                       power_threshold_tap)
 from liftervc.runtime import BenchRow, bench_filtering, bench_to_csv
 from liftervc.synthetic import build_sweep_data, make_pair, synth_source
@@ -40,14 +41,13 @@ def test_convert_applies_known_filter(small_cfg, rng):
 
 
 def test_convert_truncation_matches_manual_ola(small_cfg, rng):
-    from liftervc import Lifter, design_filter
     delta = rng.normal(size=small_cfg.cep_dim) * 0.3
     model = constant_model(small_cfg, delta)
     wave = synth_source(small_cfg, 0.25, rng)
     taps = 12
     out = convert(wave, model, taps=taps)
     u = Lifter.minimum_phase(small_cfg).coeffs
-    h = design_filter(delta, u, small_cfg)[:taps]
+    h = conversion_filters(delta, u, small_cfg, small_cfg.fft_len)[0][:taps]
     from liftervc.spectral import frame_count
     n_frames = frame_count(len(wave), small_cfg.hop)
     filters = np.tile(h, (n_frames, 1))
@@ -69,12 +69,41 @@ def test_eval_rmse_matches_chain_loss(small_cfg, rng):
     report = eval_rmse(model, val, taps=10)
     assert report.n_frames == len(val)
     assert report.per_utterance.shape == (val.n_utterances,)
-    want = np.sqrt(chain_loss(model, val, 10))
+    chain = chain_forward(model.forward(val.src_cep), model.lifter.coeffs,
+                          val.src_spec, val.tgt_cep, 10, small_cfg)
+    want = np.sqrt(chain.loss)
     assert report.rmse == pytest.approx(want, rel=1e-12)
     # pooled rmse is the frame-weighted quadratic mean of per-utterance rmses
     counts = np.diff(val.offsets)
     pooled = np.sqrt((report.per_utterance ** 2 * counts).sum() / counts.sum())
     assert report.rmse == pytest.approx(pooled, rel=1e-12)
+
+
+@pytest.mark.parametrize("gate", [None, SubbandGate(crossover_hz=3000.0,
+                                                    steepness_hz=300.0)])
+@pytest.mark.parametrize("taps", [8, 16, 64])
+def test_convert_applies_the_filter_the_chain_scores(small_cfg, rng, taps,
+                                                     gate):
+    """Train/serve agreement: the magnitude cepstrum of the filter convert
+    applies, measured as its response to a unit impulse, equals the chain's
+    estimate for the same model on a flat source spectrum."""
+    n, c = small_cfg.fft_len, small_cfg.cep_dim
+    model = constant_model(small_cfg, rng.normal(size=c) * 0.3)
+    amplitude = 1e-2  # keeps the response clear of the output clamp
+    x = np.zeros(2 * n + small_cfg.hop)
+    x[n] = amplitude
+    y = convert(Waveform(x, small_cfg.sample_rate), model, taps=taps,
+                gate=gate).samples / amplitude
+    # Every applied tap lands within y[:2n] (the onset delay is at most n/4);
+    # folding it onto n samples shifts the filter circularly, which leaves
+    # its magnitude unchanged.
+    response = y[:2 * n].reshape(2, n).sum(axis=0)
+    mag = np.maximum(np.abs(np.fft.fft(response)), MAG_FLOOR)
+    measured = np.fft.ifft(np.log(mag)).real[:c]
+    chain = chain_forward(model.forward(np.zeros(c))[None], model.lifter.coeffs,
+                          np.ones((1, n), complex), np.zeros((1, c)), taps,
+                          small_cfg, gate=gate)
+    assert np.max(np.abs(measured - chain.cep_y[0])) < 1e-10
 
 
 def test_metrics_report_csv(tmp_path, small_cfg, rng):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftervc import AnalysisConfig, Waveform, dft, idft, ola_filter, stft
+from liftervc import AnalysisConfig, Waveform, ola_filter, stft
 from liftervc.spectral import analysis_window, frame_count
 
-from naive import naive_dft, naive_idft, naive_ola
+from naive import naive_ola
 
 
 def test_waveform_rejects_non_finite():
@@ -39,25 +39,6 @@ def test_rectangular_window():
     cfg = AnalysisConfig(window_len=48, hop=16, fft_len=64, cep_dim=8,
                          window="rectangular")
     assert np.array_equal(analysis_window(cfg), np.ones(48))
-
-
-def test_dft_matches_naive(rng):
-    for n in (4, 16, 64):
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert np.allclose(dft(x), naive_dft(x), atol=1e-9)
-        assert np.allclose(idft(x), naive_idft(x), atol=1e-9)
-
-
-def test_dft_idft_roundtrip(rng):
-    x = rng.normal(size=128)
-    assert np.allclose(idft(dft(x)).real, x, atol=1e-12)
-
-
-def test_dft_length_check():
-    with pytest.raises(ValueError):
-        dft(np.zeros(8), n=16)
-    with pytest.raises(ValueError):
-        idft(np.zeros(8), n=16)
 
 
 def test_stft_shape_and_symmetry(small_cfg, rng):

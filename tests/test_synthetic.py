@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from liftervc import AnalysisConfig, Lifter, RunConfig, design_filter, wav_read
+from liftervc import (AnalysisConfig, Lifter, RunConfig, conversion_filters,
+                      wav_read)
 from liftervc.synthetic import (default_differential, make_corpus, make_pair,
                                 resonance_cepstrum, spectral_tilt_cepstrum,
                                 synth_source)
@@ -53,7 +54,7 @@ def test_default_differential_is_nontrivial(cfg16):
     assert delta.shape == (cfg16.cep_dim,)
     assert np.abs(delta[1:]).max() > 0.05
     u = Lifter.minimum_phase(cfg16).coeffs
-    h = design_filter(delta, u, cfg16)
+    h, _ = conversion_filters(delta, u, cfg16, cfg16.fft_len)
     energy = h * h
     cum = np.cumsum(energy) / energy.sum()
     # ringing survives 32-tap truncation but not 128
@@ -79,7 +80,7 @@ def test_make_pair_target_is_filtered_source(cfg16, rng):
         == pytest.approx(0.95)
     # same filtering applied manually reproduces the target
     u = Lifter.minimum_phase(cfg16).coeffs
-    h = design_filter(delta, u, cfg16)
+    h, _ = conversion_filters(delta, u, cfg16, cfg16.fft_len)
     want = np.convolve(src.samples, h)[:len(src)]
     assert np.allclose(tgt.samples, want, atol=1e-12)
 
