@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Fingerprint every output of the CLI workflow on a fixed synthetic corpus.
+
+Runs prep, pretrain, then train-lifter, eval, cumpow and convert once
+ungated and once with the sub-band gate, all in a scratch directory, and
+prints one `sha256  name` line per artifact: dataset arrays, model files,
+the loss columns of the training logs, eval and cumpow CSVs and converted
+WAVs. Running it at two commits and diffing the printouts shows whether a
+change kept every output bit for bit:
+
+    PYTHONPATH=src python scripts/output_fingerprint.py --work DIR > prints.txt
+
+The corpus uses a small analysis geometry so the whole run takes seconds.
+"""
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from liftervc import AnalysisConfig
+from liftervc.cli import main as cli
+from liftervc.synthetic import make_corpus
+
+TAPS = 12
+GATE = {"enabled": True, "crossover_hz": 4000.0, "steepness_hz": 500.0}
+GATE_FLAGS = ["--subband", "--crossover-hz", "4000", "--steepness-hz", "500"]
+
+
+def run(*argv) -> None:
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(f"liftervc {' '.join(map(str, argv))} failed")
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def loss_columns(path: Path) -> bytes:
+    """A training log without its wall-clock column."""
+    with open(path, newline="") as fh:
+        rows = [row[:-1] for row in csv.reader(fh)]
+    return "\n".join(",".join(r) for r in rows).encode()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--work", required=True, help="scratch directory")
+    work = Path(ap.parse_args(argv).work)
+    cfg = AnalysisConfig(window_len=48, hop=16, fft_len=64, cep_dim=8)
+    make_corpus(work, cfg=cfg, n_train=3, n_val=2, n_test=2, duration_s=0.4,
+                seed=1, edge_silence_s=0.05)
+    doc = json.loads((work / "config.json").read_text())
+    doc["train"].update(epochs=3, batch_size=128, pretrain_lr=1e-3,
+                        finetune_lr=5e-4)
+    config = work / "config.json"
+    config.write_text(json.dumps(doc))
+    run("prep", "--config", config)
+    run("pretrain", "--config", config)
+
+    out = {}
+    for split in ("train", "val", "test"):
+        with np.load(work / f"{split}.npz") as data:
+            for key in sorted(data.files):
+                out[f"{split}.npz:{key}"] = digest(data[key].tobytes())
+    out["model.lvc"] = digest((work / "model.lvc").read_bytes())
+    out["pretrain_log"] = digest(loss_columns(work / "pretrain_log.csv"))
+
+    for name, gate in (("ungated", None), ("gated", GATE)):
+        run_dir = work / name
+        run_dir.mkdir(exist_ok=True)
+        run_doc = dict(doc, output_dir=str(run_dir),
+                       model_file=str(run_dir / "model.lvc"))
+        if gate is not None:
+            run_doc["subband"] = gate
+        run_config = run_dir / "config.json"
+        run_config.write_text(json.dumps(run_doc))
+        for f in ("model.lvc", "train.npz", "val.npz"):
+            (run_dir / f).write_bytes((work / f).read_bytes())
+        run("train-lifter", "--config", run_config, "--taps", TAPS)
+        tuned = run_dir / f"model.l{TAPS}.lvc"
+        flags = GATE_FLAGS if gate is not None else []
+        run("eval", "--model", tuned, "--pairs", work / "test.npz",
+            "--taps", TAPS, "--out", run_dir / "eval.csv", *flags)
+        run("cumpow", "--model", tuned, "--pairs", work / "test.npz",
+            "--out", run_dir / "cumpow.csv")
+        for taps in (TAPS, cfg.fft_len):
+            run("convert", "--model", tuned, "--in", work / "test_000_src.wav",
+                "--out", run_dir / f"out_{taps}.wav", "--taps", taps, *flags)
+        out[f"{name}/model.l{TAPS}.lvc"] = digest(tuned.read_bytes())
+        out[f"{name}/train_lifter_log"] = digest(
+            loss_columns(run_dir / f"train_lifter_log_l{TAPS}.csv"))
+        for f in (f"lifter_l{TAPS}.csv", "eval.csv", "cumpow.csv",
+                  f"out_{TAPS}.wav", f"out_{cfg.fft_len}.wav"):
+            out[f"{name}/{f}"] = digest((run_dir / f).read_bytes())
+
+    for name, value in out.items():
+        print(f"{value}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,8 +16,8 @@ import logging
 import sys
 from pathlib import Path
 
-from liftervc import (cumulative_power, minimum_phase_lifter,
-                      power_threshold_tap, run_tap_sweep)
+from liftervc import (Lifter, cumulative_power, power_threshold_tap,
+                      run_tap_sweep)
 
 
 def parse_args(argv):
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
     result.to_csv(out / "sweep.csv")
     result.pretrain_log.to_csv(out / "pretrain_log.csv")
     cfg = result.pretrained.cfg
-    reference = minimum_phase_lifter(cfg.fft_len)[:cfg.cep_dim]
+    reference = Lifter.minimum_phase(cfg).coeffs
     for l in taps:
         result.finetune_logs[l].to_csv(out / f"finetune_log_l{l}.csv")
         with open(out / f"lifter_l{l}.csv", "w", newline="") as fh:

@@ -6,11 +6,10 @@ from .cepstral import (MAG_FLOOR, Lifter, minimum_phase_lifter, real_cepstrum,
                        reconstruct_spectrum)
 from .chain import (ChainResult, backward_chain, chain_backward, chain_forward,
                     forward_chain)
-from .config import AnalysisConfig, RunConfig, TrainConfig
+from .config import AnalysisConfig, RunConfig, SubbandGate, TrainConfig
 from .dataset import TrainingSet, build_dataset
-from .filters import (SubbandGate, conversion_filters, design_filter,
-                      design_filter_adjoint, gate_weights, subband_gate,
-                      truncate_filter)
+from .filters import (conversion_filters, design_filter, design_filter_adjoint,
+                      gate_weights, subband_gate, truncate_filter)
 from .model import (AcousticModel, Adam, ModelFileError, constant_model,
                     load_model, save_model)
 from .runtime import (BenchRow, MetricsReport, bench_filtering, convert,

@@ -8,7 +8,7 @@ import numpy as np
 
 from .cepstral import real_cepstrum
 from .config import AnalysisConfig
-from .spectral import Waveform, stft
+from .spectral import Waveform, _segments, frame_count, stft
 
 
 def trim_silence(wave: Waveform, cfg: AnalysisConfig,
@@ -22,10 +22,8 @@ def trim_silence(wave: Waveform, cfg: AnalysisConfig,
         raise ValueError("empty waveform")
     samples = wave.samples
     hop = cfg.hop
-    n_blocks = -(-samples.size // hop)
-    padded = np.zeros(n_blocks * hop)
-    padded[:samples.size] = samples
-    blocks = padded.reshape(n_blocks, hop)
+    n_blocks = frame_count(samples.size, hop)
+    blocks = _segments(samples, hop, n_blocks)
     # RMS of the final partial block uses its true sample count.
     counts = np.full(n_blocks, hop)
     counts[-1] = samples.size - (n_blocks - 1) * hop

@@ -43,7 +43,7 @@ def minimum_phase_lifter(n_fft: int) -> np.ndarray:
 
 @dataclass
 class Lifter:
-    """Quefrency weighting of length cep_dim, optionally trainable."""
+    """Quefrency weighting of length cep_dim; trainable once fine-tuned."""
 
     coeffs: np.ndarray
     trainable: bool = False
@@ -56,9 +56,9 @@ class Lifter:
             raise ValueError("lifter coefficients must be finite")
 
     @classmethod
-    def minimum_phase(cls, cfg: AnalysisConfig, trainable: bool = False) -> "Lifter":
+    def minimum_phase(cls, cfg: AnalysisConfig) -> "Lifter":
         """First cep_dim entries of the minimum-phase lifter for cfg.fft_len."""
-        return cls(minimum_phase_lifter(cfg.fft_len)[:cfg.cep_dim].copy(), trainable)
+        return cls(minimum_phase_lifter(cfg.fft_len)[:cfg.cep_dim].copy())
 
 
 def reconstruct_spectrum(cep: np.ndarray, lifter: np.ndarray,

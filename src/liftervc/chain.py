@@ -7,13 +7,14 @@ frame by frame:
 
     differential cepstrum -> lifter product -> zero-pad -> DFT -> exp
     -> filters.design_filter (optional sub-band gate, onset rotation, IDFT,
-    keep l taps) -> DFT -> multiply with the source spectrum -> floored log
-    magnitude -> IDFT -> first c quefrencies -> squared error against the
-    target
+    keep l taps) -> DFT -> multiply with the source spectrum ->
+    cepstral.real_cepstrum (floored log magnitude -> IDFT -> first c
+    quefrencies) -> squared error against the target
 
-The spectrum and the taps come from the same cepstral.reconstruct_spectrum
-and filters.design_filter that conversion calls, so the chain scores
-exactly the filter `convert` applies.
+The spectrum, the taps and the cepstrum come from the same
+cepstral.reconstruct_spectrum, filters.design_filter and
+cepstral.real_cepstrum that conversion and analysis call, so the chain
+scores exactly the filter `convert` applies.
 
 Everything here is float64/complex128 numpy; the backward pass is written
 out by hand. Complex gradients follow the real-pair convention
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cepstral import MAG_FLOOR, reconstruct_spectrum
-from .config import AnalysisConfig
-from .filters import SubbandGate, design_filter, design_filter_adjoint
+from .cepstral import MAG_FLOOR, real_cepstrum, reconstruct_spectrum
+from .config import AnalysisConfig, SubbandGate
+from .filters import design_filter, design_filter_adjoint
 from .model import AcousticModel
 
 
@@ -45,8 +46,6 @@ class ChainCache:
     spec_x: np.ndarray
     spec_d: np.ndarray
     spec_y: np.ndarray
-    mag_floored: np.ndarray
-    above_floor: np.ndarray
     err: np.ndarray
     taps: int
     gate: SubbandGate | None
@@ -73,7 +72,6 @@ def chain_forward(cep_d: np.ndarray, lifter: np.ndarray, spec_x: np.ndarray,
     length l. Returns the estimated target cepstra, per-frame squared errors,
     and their mean (the loss).
     """
-    n, c = cfg.fft_len, cfg.cep_dim
     cep_d = np.atleast_2d(np.asarray(cep_d, dtype=np.float64))
     tgt_cep = np.atleast_2d(np.asarray(tgt_cep, dtype=np.float64))
     spec_x = np.atleast_2d(np.asarray(spec_x, dtype=np.complex128))
@@ -81,19 +79,15 @@ def chain_forward(cep_d: np.ndarray, lifter: np.ndarray, spec_x: np.ndarray,
     # reconstruct_spectrum checks the lengths, design_filter the taps.
     spec_d = reconstruct_spectrum(cep_d, lifter, cfg)
     f_l, _ = design_filter(spec_d, cfg, taps, gate)
-    spec_y = spec_x * np.fft.fft(f_l, n=n, axis=1)
-    mag = np.abs(spec_y)
-    mag_floored = np.maximum(mag, MAG_FLOOR)
-    cep_y = np.fft.ifft(np.log(mag_floored), axis=1).real[:, :c]
+    spec_y = spec_x * np.fft.fft(f_l, n=cfg.fft_len, axis=1)
+    cep_y = real_cepstrum(spec_y, cfg)
     err = cep_y - tgt_cep
     frame_losses = (err * err).sum(axis=1)
 
     cache = None
     if keep_cache:
         cache = ChainCache(cep_d=cep_d, lifter=lifter, spec_x=spec_x,
-                           spec_d=spec_d, spec_y=spec_y,
-                           mag_floored=mag_floored,
-                           above_floor=mag > MAG_FLOOR, err=err,
+                           spec_d=spec_d, spec_y=spec_y, err=err,
                            taps=taps, gate=gate)
     return ChainResult(cep_y=cep_y, frame_losses=frame_losses,
                        loss=float(frame_losses.mean()), cache=cache)
@@ -112,8 +106,10 @@ def chain_backward(cache: ChainCache, cfg: AnalysisConfig):
     g_cep_full[:, :c] = (2.0 / batch) * cache.err
     # Estimated cepstrum = Re(ifft(log-magnitude)); the log-magnitude is real.
     g_logmag = np.fft.fft(g_cep_full, axis=1).real / n
-    g_spec_y = np.where(cache.above_floor,
-                        g_logmag / (cache.mag_floored * cache.mag_floored),
+    # The floored magnitude, not the raw one: below the floor the raw value
+    # may be 0, and np.where evaluates the division before it selects.
+    mag = np.maximum(np.abs(cache.spec_y), MAG_FLOOR)
+    g_spec_y = np.where(mag > MAG_FLOOR, g_logmag / (mag * mag),
                         0.0) * cache.spec_y
     g_spec_l = np.conj(cache.spec_x) * g_spec_y
     g_f_l = np.fft.ifft(g_spec_l, axis=1).real[:, :cache.taps] * n

@@ -18,10 +18,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .cepstral import minimum_phase_lifter
-from .config import AnalysisConfig, RunConfig
+from .cepstral import Lifter
+from .config import AnalysisConfig, RunConfig, SubbandGate
 from .dataset import TrainingSet, build_dataset
-from .filters import SubbandGate
 from .model import AcousticModel, load_model, save_model
 from .runtime import (bench_filtering, bench_to_csv, convert, cumulative_power,
                       eval_rmse, power_threshold_tap)
@@ -109,17 +108,15 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train_lifter(args) -> int:
     run = RunConfig.from_json(args.config, check_paths=False)
-    taps = args.taps if args.taps is not None else run.train.taps
-    if not 0 < taps <= run.analysis.fft_len:
-        raise ValueError(f"taps must be in 1..{run.analysis.fft_len}")
-    train_cfg = dataclasses.replace(run.train, taps=taps)
+    if args.taps is not None:
+        # replace() re-validates the taps against the analysis settings.
+        run = dataclasses.replace(
+            run, train=dataclasses.replace(run.train, taps=args.taps))
+    taps = run.train.taps
     model = load_model(run.model_file, run.analysis)
     train_data = _load_split(run, "train")
     val_data = _load_split(run, "val") if _dataset_paths(run)["val"].exists() else None
-    gate = None
-    if run.subband_enabled:
-        gate = SubbandGate(run.subband_crossover_hz, run.subband_steepness_hz)
-    log = train_lifter(model, train_data, train_cfg, val_data, gate=gate)
+    log = train_lifter(model, train_data, run.train, val_data, gate=run.subband)
 
     out = Path(run.output_dir)
     model_path = Path(run.model_file).with_suffix(f".l{taps}.lvc")
@@ -127,7 +124,7 @@ def cmd_train_lifter(args) -> int:
     log_path = out / f"train_lifter_log_l{taps}.csv"
     log.to_csv(log_path)
     lifter_path = out / f"lifter_l{taps}.csv"
-    reference = minimum_phase_lifter(run.analysis.fft_len)[:run.analysis.cep_dim]
+    reference = Lifter.minimum_phase(run.analysis).coeffs
     with open(lifter_path, "w", newline="") as fh:
         fh.write("quefrency,trained,minimum_phase\n")
         for q, (u, m) in enumerate(zip(model.lifter.coeffs, reference)):
@@ -141,8 +138,7 @@ def cmd_train_lifter(args) -> int:
 def cmd_convert(args) -> int:
     model = load_model(args.model)
     wave = wav_read(args.infile)
-    out = convert(wave, model, taps=args.taps, gate=_gate_from_args(args),
-                  mode=args.mode)
+    out = convert(wave, model, taps=args.taps, gate=_gate_from_args(args))
     wav_write(args.outfile, out)
     taps = args.taps if args.taps is not None else model.cfg.fft_len
     print(f"converted {args.infile} -> {args.outfile} "
@@ -195,8 +191,10 @@ def cmd_bench(args) -> int:
 def _add_gate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--subband", action="store_true",
                    help="pass frequencies above the crossover through unchanged")
-    p.add_argument("--crossover-hz", type=float, default=8000.0)
-    p.add_argument("--steepness-hz", type=float, default=200.0)
+    p.add_argument("--crossover-hz", type=float,
+                   default=SubbandGate.crossover_hz)
+    p.add_argument("--steepness-hz", type=float,
+                   default=SubbandGate.steepness_hz)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--taps", type=int, default=None)
-    p.add_argument("--mode", choices=("auto", "direct", "fft"), default="auto")
     _add_gate_flags(p)
     p.set_defaults(func=cmd_convert)
 

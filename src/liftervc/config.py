@@ -74,10 +74,34 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be positive")
 
 
+@dataclass(frozen=True)
+class SubbandGate:
+    """Sigmoid crossover that confines the differential filter to the low band.
+
+    Below the crossover the filter applies unchanged; above it the spectrum
+    relaxes to the identity filter so the source passes through untouched.
+    """
+
+    crossover_hz: float = 8000.0
+    steepness_hz: float = 200.0
+
+    def __post_init__(self) -> None:
+        if self.crossover_hz <= 0:
+            raise ValueError("crossover must be positive")
+        if self.steepness_hz <= 0:
+            raise ValueError("steepness must be positive")
+
+
+def _reject_unknown(doc: dict, allowed, where: str) -> None:
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+
+
 @dataclass
 class RunConfig:
     """Everything a full run needs: analysis + training settings, data lists,
-    output locations, and sub-band gate parameters."""
+    output locations, and the sub-band gate (None when gating is off)."""
 
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -87,9 +111,7 @@ class RunConfig:
     model_file: str = "model.lvc"
     output_dir: str = "out"
     silence_threshold_db: float = 40.0
-    subband_enabled: bool = False
-    subband_crossover_hz: float = 8000.0
-    subband_steepness_hz: float = 200.0
+    subband: SubbandGate | None = None
 
     def __post_init__(self) -> None:
         if self.train.taps > self.analysis.fft_len:
@@ -102,31 +124,23 @@ class RunConfig:
     @classmethod
     def from_json(cls, path, check_paths: bool = True) -> "RunConfig":
         """Load a config document; with check_paths, verify every listed
-        WAV file exists."""
+        WAV file exists. Keys left out take the dataclass defaults; unknown
+        keys are rejected in every section."""
         raw = json.loads(Path(path).read_text())
-        known = {"analysis", "train", "data", "model_file", "output_dir",
-                 "silence_threshold_db", "subband"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-        analysis = AnalysisConfig(**raw.get("analysis", {}))
-        train = TrainConfig(**raw.get("train", {}))
-        data = raw.get("data", {})
-        sub = raw.get("subband", {})
-        cfg = cls(
-            analysis=analysis,
-            train=train,
-            train_pairs=[tuple(p) for p in data.get("train", [])],
-            val_pairs=[tuple(p) for p in data.get("val", [])],
-            test_pairs=[tuple(p) for p in data.get("test", [])],
-            model_file=raw.get("model_file", "model.lvc"),
-            output_dir=raw.get("output_dir", "out"),
-            silence_threshold_db=raw.get("silence_threshold_db", 40.0),
-            subband_enabled=sub.get("enabled", False),
-            subband_crossover_hz=sub.get("crossover_hz", 8000.0),
-            subband_steepness_hz=sub.get("steepness_hz", 200.0),
-        )
+        _reject_unknown(raw, ("analysis", "train", "data", "model_file",
+                              "output_dir", "silence_threshold_db", "subband"),
+                        "config")
+        data = raw.pop("data", {})
+        _reject_unknown(data, ("train", "val", "test"), "data")
+        sub = dict(raw.pop("subband", {}))
+        enabled = sub.pop("enabled", False)
+        gate = SubbandGate(**sub)  # checked even when disabled
+        cfg = cls(analysis=AnalysisConfig(**raw.pop("analysis", {})),
+                  train=TrainConfig(**raw.pop("train", {})),
+                  subband=gate if enabled else None,
+                  **{f"{split}_pairs": [tuple(p) for p in pairs]
+                     for split, pairs in data.items()},
+                  **raw)
         if check_paths:
             missing = [p for pairs in (cfg.train_pairs, cfg.val_pairs, cfg.test_pairs)
                        for pair in pairs for p in pair if not Path(p).exists()]
@@ -147,10 +161,7 @@ class RunConfig:
             "model_file": self.model_file,
             "output_dir": self.output_dir,
             "silence_threshold_db": self.silence_threshold_db,
-            "subband": {
-                "enabled": self.subband_enabled,
-                "crossover_hz": self.subband_crossover_hz,
-                "steepness_hz": self.subband_steepness_hz,
-            },
+            "subband": {"enabled": self.subband is not None,
+                        **asdict(self.subband or SubbandGate())},
         }
         Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -34,6 +34,9 @@ class TrainingSet:
         self.offsets = np.asarray(self.offsets, dtype=np.intp)
         if self.offsets[0] != 0 or self.offsets[-1] != len(self.src_cep):
             raise ValueError("offsets must start at 0 and end at frame count")
+        sizes = np.diff(self.offsets)
+        if (sizes < 0).any() or (len(self) and not sizes.all()):
+            raise ValueError("offsets must increase: every utterance needs frames")
 
     def __len__(self) -> int:
         return len(self.src_cep)

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cepstral import reconstruct_spectrum
-from .config import AnalysisConfig
+from .config import AnalysisConfig, SubbandGate
 
 log = logging.getLogger(__name__)
 
@@ -21,24 +20,6 @@ def truncate_filter(taps: np.ndarray, length: int) -> np.ndarray:
     if not 0 < length <= taps.shape[-1]:
         raise ValueError(f"truncation length must be in 1..{taps.shape[-1]}")
     return np.ascontiguousarray(taps[..., :length])
-
-
-@dataclass(frozen=True)
-class SubbandGate:
-    """Sigmoid crossover that confines the differential filter to the low band.
-
-    Below the crossover the filter applies unchanged; above it the spectrum
-    relaxes to the identity filter so the source passes through untouched.
-    """
-
-    crossover_hz: float = 8000.0
-    steepness_hz: float = 200.0
-
-    def __post_init__(self) -> None:
-        if self.crossover_hz <= 0:
-            raise ValueError("crossover must be positive")
-        if self.steepness_hz <= 0:
-            raise ValueError("steepness must be positive")
 
 
 def gate_weights(gate: SubbandGate, cfg: AnalysisConfig) -> np.ndarray:

@@ -197,20 +197,13 @@ class AcousticModel:
     # -- parameter bookkeeping -------------------------------------------------
 
     def trainable_entries(self, include_lifter: bool = False) -> list:
-        """(name, array) pairs for everything the optimizer may update."""
-        entries = []
-        for i, layer in enumerate(self.layers):
-            entries += [
-                (f"layers.{i}.w_value", layer.w_value),
-                (f"layers.{i}.b_value", layer.b_value),
-                (f"layers.{i}.bn_value.gamma", layer.bn_value.gamma),
-                (f"layers.{i}.bn_value.beta", layer.bn_value.beta),
-                (f"layers.{i}.w_gate", layer.w_gate),
-                (f"layers.{i}.b_gate", layer.b_gate),
-                (f"layers.{i}.bn_gate.gamma", layer.bn_gate.gamma),
-                (f"layers.{i}.bn_gate.beta", layer.bn_gate.beta),
-            ]
-        entries += [("w_out", self.w_out), ("b_out", self.b_out)]
+        """(name, array) pairs for everything the optimizer may update: the
+        serialized parameters less the normalization statistics, the batch
+        norm running statistics and the lifter, which goes last if asked for."""
+        frozen = ("in_mean", "in_std", "out_mean", "out_std", "lifter")
+        entries = [(name, arr) for name, arr in self.param_entries()
+                   if name not in frozen
+                   and not name.endswith(("running_mean", "running_var"))]
         if include_lifter:
             entries.append(("lifter", self.lifter.coeffs))
         return entries
@@ -345,6 +338,8 @@ def load_model(path, expected_cfg: AnalysisConfig | None = None) -> AcousticMode
         if offset + nbytes > len(data):
             raise ModelFileError(f"corrupt model file (truncated at {name})")
         values = np.frombuffer(data, dtype="<f8", count=arr.size, offset=offset)
+        if not np.isfinite(values).all():
+            raise ModelFileError(f"corrupt model file (non-finite {name})")
         arr[...] = values.reshape(arr.shape)
         offset += nbytes
     if offset != len(data):

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cepstral import real_cepstrum
-from .config import AnalysisConfig
+from .config import AnalysisConfig, SubbandGate
 from .dataset import TrainingSet
-from .filters import SubbandGate, conversion_filters, truncate_filter
+from .filters import conversion_filters, truncate_filter
 from .model import AcousticModel
 from .spectral import Waveform, frame_count, ola_filter, stft
 from .training import frame_losses
@@ -20,7 +20,7 @@ log = logging.getLogger(__name__)
 
 
 def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
-            gate: SubbandGate | None = None, mode: str = "auto") -> Waveform:
+            gate: SubbandGate | None = None) -> Waveform:
     """Convert a source waveform with per-frame truncated differential filters.
 
     Per frame: analyze, estimate the differential cepstrum, design the
@@ -38,10 +38,7 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
     cep_d = model.forward(real_cepstrum(spec, cfg))
     filters, delay = conversion_filters(cep_d, model.lifter.coeffs, cfg, taps,
                                         gate=gate)
-    out = ola_filter(wave, filters, cfg, mode=mode, delay=delay)
-    samples = out.samples
-    if not np.isfinite(samples).all():
-        raise ValueError("conversion produced non-finite samples")
+    samples = ola_filter(wave, filters, cfg, delay=delay).samples
     clipped = int((np.abs(samples) > 1.0).sum())
     if clipped:
         log.warning("clamped %d of %d output samples to [-1, 1]",

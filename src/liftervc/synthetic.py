@@ -12,7 +12,7 @@ truncation effects can be studied in isolation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -248,9 +248,7 @@ def run_tap_sweep(taps=(32, 48, 64, 128), cfg: AnalysisConfig | None = None,
     for l in taps:
         fixed[l] = eval_rmse(model, val_data, l).rmse
         tuned = model.copy()
-        ft_cfg = TrainConfig(taps=l, pretrain_lr=pretrain_lr,
-                             finetune_lr=finetune_lr, batch_size=batch_size,
-                             epochs=finetune_epochs, seed=seed)
+        ft_cfg = replace(pre_cfg, taps=l, epochs=finetune_epochs)
         ft_logs[l] = train_lifter(tuned, train_data, ft_cfg, val_data)
         trained[l] = eval_rmse(tuned, val_data, l).rmse
         tuned_models[l] = tuned

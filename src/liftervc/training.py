@@ -8,9 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import backward_chain, forward_chain
-from .config import TrainConfig
+from .config import SubbandGate, TrainConfig
 from .dataset import TrainingSet
-from .filters import SubbandGate
 from .model import AcousticModel, Adam
 
 STD_FLOOR = 1e-8

@@ -4,7 +4,8 @@ import shutil
 import numpy as np
 import pytest
 
-from liftervc import AnalysisConfig, TrainingSet, load_model, wav_read
+from liftervc import (AnalysisConfig, TrainingSet, load_model, save_model,
+                      wav_read)
 from liftervc.cli import main
 from liftervc.synthetic import make_corpus
 
@@ -198,4 +199,18 @@ def test_train_lifter_rejects_gate_in_training_key(workspace, tmp_path,
     code, out, err = run_cli("train-lifter", "--config", config, capsys=capsys)
     assert code == 1
     assert err.startswith("error:") and "gate_in_training" in err
+    assert err.count("\n") == 1
+
+
+def test_eval_rejects_non_finite_model(workspace, tmp_path, capsys):
+    """A model file with a NaN parameter fails at load with a one-line
+    error naming the array, instead of scoring rmse nan."""
+    model = load_model(workspace / "model.lvc")
+    model.w_out[0, 0] = np.nan
+    path = tmp_path / "nan.lvc"
+    save_model(model, path)
+    code, out, err = run_cli("eval", "--model", path, "--pairs",
+                             workspace / "test.npz", capsys=capsys)
+    assert code == 1
+    assert err.startswith("error:") and "w_out" in err
     assert err.count("\n") == 1

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from liftervc import AnalysisConfig, RunConfig, TrainConfig
+from liftervc import AnalysisConfig, RunConfig, SubbandGate, TrainConfig
+from liftervc import filters
 
 
 def test_for_rate_standard_settings():
@@ -49,8 +50,7 @@ def test_run_config_roundtrip(tmp_path):
         train_pairs=[("a.wav", "b.wav")],
         model_file="m.lvc",
         output_dir="outputs",
-        subband_enabled=True,
-        subband_crossover_hz=7000.0,
+        subband=SubbandGate(crossover_hz=7000.0),
     )
     path = tmp_path / "config.json"
     cfg.to_json(path)
@@ -58,8 +58,47 @@ def test_run_config_roundtrip(tmp_path):
     assert back.analysis == cfg.analysis
     assert back.train == cfg.train
     assert back.train_pairs == [("a.wav", "b.wav")]
-    assert back.subband_enabled
-    assert back.subband_crossover_hz == 7000.0
+    assert back.subband == SubbandGate(crossover_hz=7000.0, steepness_hz=200.0)
+
+
+def test_run_config_document_roundtrip(tmp_path):
+    """A document that sets every key to a non-default value is written
+    back unchanged."""
+    doc = {
+        "analysis": {"sample_rate": 48000, "window_len": 1000, "hop": 200,
+                     "fft_len": 1024, "cep_dim": 60, "window": "rectangular"},
+        "train": {"taps": 96, "pretrain_lr": 0.002, "finetune_lr": 3e-05,
+                  "batch_size": 64, "epochs": 7, "seed": 5},
+        "data": {"train": [["a.wav", "b.wav"]], "val": [["c.wav", "d.wav"]],
+                 "test": [["e.wav", "f.wav"]]},
+        "model_file": "m.lvc",
+        "output_dir": "results",
+        "silence_threshold_db": 30.0,
+        "subband": {"enabled": True, "crossover_hz": 6000.0,
+                    "steepness_hz": 150.0},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    RunConfig.from_json(path, check_paths=False).to_json(path)
+    assert json.loads(path.read_text()) == doc
+
+
+def test_run_config_disabled_gate_is_none(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"subband": {"enabled": False,
+                                            "crossover_hz": 4000.0}}))
+    assert RunConfig.from_json(path).subband is None
+    path.write_text(json.dumps({"subband": {"enabled": True}}))
+    assert RunConfig.from_json(path).subband == SubbandGate()
+    # The gate keys are checked even when gating is off.
+    path.write_text(json.dumps({"subband": {"enabled": False,
+                                            "crossover_hz": -1.0}}))
+    with pytest.raises(ValueError, match="crossover"):
+        RunConfig.from_json(path)
+
+
+def test_subband_gate_has_one_class():
+    assert filters.SubbandGate is SubbandGate
 
 
 def test_run_config_rejects_unknown_keys(tmp_path):
@@ -67,6 +106,20 @@ def test_run_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"analysis": {}, "not_a_key": 1}))
     with pytest.raises(ValueError, match="unknown config keys"):
         RunConfig.from_json(path)
+
+
+@pytest.mark.parametrize("doc,exc,match", [
+    ({"subband": {"enable": True}}, TypeError, "'enable'"),
+    ({"subband": {"enabled": True, "crossover": 4000}}, TypeError,
+     "'crossover'"),
+    ({"data": {"training": [["a.wav", "b.wav"]]}}, ValueError,
+     r"unknown data keys: \['training'\]"),
+])
+def test_run_config_rejects_unknown_section_keys(tmp_path, doc, exc, match):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(exc, match=match):
+        RunConfig.from_json(path, check_paths=False)
 
 
 def test_run_config_checks_paths(tmp_path):

@@ -238,3 +238,27 @@ def test_load_checks_expected_config(small_cfg, cfg16, tmp_path):
     with pytest.raises(ModelFileError):
         load_model(path, expected_cfg=cfg16)
     load_model(path, expected_cfg=small_cfg)
+
+
+def test_trainable_entries_names_and_order(small_cfg):
+    """The optimizer's parameter list, in the order Adam state and the
+    gradient-fidelity check rely on."""
+    model = AcousticModel(small_cfg, hidden=(4, 3))
+    layer = ["w_value", "b_value", "bn_value.gamma", "bn_value.beta",
+             "w_gate", "b_gate", "bn_gate.gamma", "bn_gate.beta"]
+    want = ([f"layers.0.{n}" for n in layer] + [f"layers.1.{n}" for n in layer]
+            + ["w_out", "b_out"])
+    assert [n for n, _ in model.trainable_entries()] == want
+    entries = model.trainable_entries(include_lifter=True)
+    assert [n for n, _ in entries] == want + ["lifter"]
+    assert entries[0][1] is model.layers[0].w_value
+    assert entries[-1][1] is model.lifter.coeffs
+
+
+def test_load_rejects_non_finite_parameters(small_cfg, tmp_path):
+    path = tmp_path / "m.lvc"
+    model = AcousticModel(small_cfg, hidden=(4, 3))
+    model.w_out[1, 2] = np.nan
+    save_model(model, path)
+    with pytest.raises(ModelFileError, match="non-finite w_out"):
+        load_model(path)

@@ -47,6 +47,11 @@ def test_dataset_validates_offsets(small_cfg, rng):
     with pytest.raises(ValueError):
         TrainingSet(data.src_cep, data.tgt_cep, data.src_spec,
                     offsets=np.array([1, len(data)]))
+    # Decreasing offsets, and an utterance with no frames.
+    for offsets in ([0, 55, 50, len(data)], [0, 50, 50, len(data)]):
+        with pytest.raises(ValueError, match="every utterance needs frames"):
+            TrainingSet(data.src_cep, data.tgt_cep, data.src_spec,
+                        offsets=np.array(offsets))
     with pytest.raises(ValueError):
         concat_pairs([])
 
