@@ -2,7 +2,8 @@
 """Fingerprint every output of the CLI workflow on a fixed synthetic corpus.
 
 Runs prep, pretrain, then train-lifter, eval, cumpow and convert once
-ungated and once with the sub-band gate, all in a scratch directory, and
+ungated and once with the sub-band gate in the run config (the tuned model
+carries it to eval, cumpow and convert), all in a scratch directory, and
 prints one `sha256  name` line per artifact: dataset arrays, model files,
 the loss columns of the training logs, eval and cumpow CSVs and converted
 WAVs. Running it at two commits and diffing the printouts shows whether a
@@ -29,7 +30,6 @@ from liftervc.synthetic import make_corpus
 
 TAPS = 12
 GATE = {"enabled": True, "crossover_hz": 4000.0, "steepness_hz": 500.0}
-GATE_FLAGS = ["--subband", "--crossover-hz", "4000", "--steepness-hz", "500"]
 
 
 def run(*argv) -> None:
@@ -86,14 +86,13 @@ def main(argv=None) -> int:
             (run_dir / f).write_bytes((work / f).read_bytes())
         run("train-lifter", "--config", run_config, "--taps", TAPS)
         tuned = run_dir / f"model.l{TAPS}.lvc"
-        flags = GATE_FLAGS if gate is not None else []
         run("eval", "--model", tuned, "--pairs", work / "test.npz",
-            "--taps", TAPS, "--out", run_dir / "eval.csv", *flags)
+            "--taps", TAPS, "--out", run_dir / "eval.csv")
         run("cumpow", "--model", tuned, "--pairs", work / "test.npz",
             "--out", run_dir / "cumpow.csv")
         for taps in (TAPS, cfg.fft_len):
             run("convert", "--model", tuned, "--in", work / "test_000_src.wav",
-                "--out", run_dir / f"out_{taps}.wav", "--taps", taps, *flags)
+                "--out", run_dir / f"out_{taps}.wav", "--taps", taps)
         out[f"{name}/model.l{TAPS}.lvc"] = digest(tuned.read_bytes())
         out[f"{name}/train_lifter_log"] = digest(
             loss_columns(run_dir / f"train_lifter_log_l{TAPS}.csv"))

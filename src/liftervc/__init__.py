@@ -9,7 +9,7 @@ from .chain import (ChainResult, backward_chain, chain_backward, chain_forward,
 from .config import AnalysisConfig, RunConfig, SubbandGate, TrainConfig
 from .dataset import TrainingSet, build_dataset
 from .filters import (conversion_filters, design_filter, design_filter_adjoint,
-                      gate_weights, subband_gate, truncate_filter)
+                      gate_weights, truncate_filter)
 from .model import (AcousticModel, Adam, ModelFileError, constant_model,
                     load_model, save_model)
 from .runtime import (BenchRow, MetricsReport, bench_filtering, convert,
@@ -37,6 +37,6 @@ __all__ = [
     "minimum_phase_lifter", "ola_filter", "power_threshold_tap",
     "pretrain_conventional", "real_cepstrum", "reconstruct_spectrum",
     "run_tap_sweep", "save_model", "spectral_tilt_cepstrum", "stft",
-    "subband_gate", "synth_source", "train_lifter", "trim_silence",
+    "synth_source", "train_lifter", "trim_silence",
     "truncate_filter", "wav_read", "wav_write",
 ]

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .cepstral import Lifter
-from .config import AnalysisConfig, RunConfig, SubbandGate
+from .config import AnalysisConfig, RunConfig
 from .dataset import TrainingSet, build_dataset
 from .model import AcousticModel, load_model, save_model
 from .runtime import (bench_filtering, bench_to_csv, convert, cumulative_power,
@@ -39,13 +39,6 @@ def _load_split(run: RunConfig, split: str) -> TrainingSet:
         raise FileNotFoundError(f"{path} not found; run `liftervc prep` first")
     data, _ = TrainingSet.load(path, run.analysis)
     return data
-
-
-def _gate_from_args(args) -> SubbandGate | None:
-    if not getattr(args, "subband", False):
-        return None
-    return SubbandGate(crossover_hz=args.crossover_hz,
-                       steepness_hz=args.steepness_hz)
 
 
 def _read_pairs_csv(path) -> list:
@@ -97,6 +90,7 @@ def cmd_pretrain(args) -> int:
     val_data = _load_split(run, "val") if _dataset_paths(run)["val"].exists() else None
     model = AcousticModel(run.analysis, seed=run.train.seed)
     log = pretrain_conventional(model, train_data, run.train, val_data)
+    model.subband = run.subband
     save_model(model, run.model_file)
     log_path = Path(run.output_dir) / "pretrain_log.csv"
     log.to_csv(log_path)
@@ -138,7 +132,7 @@ def cmd_train_lifter(args) -> int:
 def cmd_convert(args) -> int:
     model = load_model(args.model)
     wave = wav_read(args.infile)
-    out = convert(wave, model, taps=args.taps, gate=_gate_from_args(args))
+    out = convert(wave, model, taps=args.taps, gate=model.subband)
     wav_write(args.outfile, out)
     taps = args.taps if args.taps is not None else model.cfg.fft_len
     print(f"converted {args.infile} -> {args.outfile} "
@@ -150,7 +144,7 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     data = _load_eval_data(args.pairs, model)
     taps = args.taps if args.taps is not None else model.cfg.fft_len
-    report = eval_rmse(model, data, taps, gate=_gate_from_args(args))
+    report = eval_rmse(model, data, taps, gate=model.subband)
     if args.out:
         report.to_csv(args.out)
     print(f"rmse {report.rmse!r} over {report.n_frames} frames "
@@ -161,7 +155,7 @@ def cmd_eval(args) -> int:
 def cmd_cumpow(args) -> int:
     model = load_model(args.model)
     data = _load_eval_data(args.pairs, model)
-    curve = cumulative_power(model, data)
+    curve = cumulative_power(model, data, model.subband)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write("tap,cumulative_power\n")
@@ -186,15 +180,6 @@ def cmd_bench(args) -> int:
         bench_to_csv(rows, args.out)
         print(f"csv -> {args.out}")
     return 0
-
-
-def _add_gate_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--subband", action="store_true",
-                   help="pass frequencies above the crossover through unchanged")
-    p.add_argument("--crossover-hz", type=float,
-                   default=SubbandGate.crossover_hz)
-    p.add_argument("--steepness-hz", type=float,
-                   default=SubbandGate.steepness_hz)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--taps", type=int, default=None)
-    _add_gate_flags(p)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("eval", help="cepstral RMSE over an evaluation set")
@@ -233,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=".npz dataset from prep, or CSV of source,target WAVs")
     p.add_argument("--taps", type=int, default=None)
     p.add_argument("--out", default=None, help="per-utterance CSV")
-    _add_gate_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("cumpow", help="cumulative power of designed filters")

@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 NARROW_BAND_RATE = 16000
 FULL_BAND_RATE = 48000
+_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _check_types(obj) -> None:
+    """Each field holds its declared type: an int, an int or float, or a
+    str. A bool is never a number."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, bool) or not isinstance(value, _TYPES[f.type]):
+            raise TypeError(f"{type(obj).__name__}.{f.name} must be {f.type}, "
+                            f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -26,6 +37,7 @@ class AnalysisConfig:
     window: str = "hann"
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if min(self.sample_rate, self.window_len, self.hop,
                self.fft_len, self.cep_dim) <= 0:
             raise ValueError("analysis parameters must be positive")
@@ -66,6 +78,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.taps <= 0:
             raise ValueError("taps must be positive")
         if self.pretrain_lr <= 0 or self.finetune_lr <= 0:
@@ -86,10 +99,15 @@ class SubbandGate:
     steepness_hz: float = 200.0
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.crossover_hz <= 0:
             raise ValueError("crossover must be positive")
         if self.steepness_hz <= 0:
             raise ValueError("steepness must be positive")
+
+    def check_below_nyquist(self, cfg: AnalysisConfig) -> None:
+        if self.crossover_hz >= cfg.sample_rate / 2:
+            raise ValueError("crossover must lie below the Nyquist frequency")
 
 
 def _reject_unknown(doc: dict, allowed, where: str) -> None:
@@ -116,6 +134,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.train.taps > self.analysis.fft_len:
             raise ValueError("taps must not exceed fft_len")
+        if self.subband is not None:
+            self.subband.check_below_nyquist(self.analysis)
         for pairs in (self.train_pairs, self.val_pairs, self.test_pairs):
             for pair in pairs:
                 if len(pair) != 2:
@@ -134,6 +154,8 @@ class RunConfig:
         _reject_unknown(data, ("train", "val", "test"), "data")
         sub = dict(raw.pop("subband", {}))
         enabled = sub.pop("enabled", False)
+        if not isinstance(enabled, bool):
+            raise TypeError(f"subband.enabled must be bool, got {enabled!r}")
         gate = SubbandGate(**sub)  # checked even when disabled
         cfg = cls(analysis=AnalysisConfig(**raw.pop("analysis", {})),
                   train=TrainConfig(**raw.pop("train", {})),

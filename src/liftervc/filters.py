@@ -25,30 +25,13 @@ def truncate_filter(taps: np.ndarray, length: int) -> np.ndarray:
 def gate_weights(gate: SubbandGate, cfg: AnalysisConfig) -> np.ndarray:
     """Per-bin blend weights in [0, 1], mirrored above fft_len/2 so a gated
     conjugate-symmetric spectrum stays conjugate-symmetric."""
-    if gate.crossover_hz >= cfg.sample_rate / 2:
-        raise ValueError("crossover must lie below the Nyquist frequency")
+    gate.check_below_nyquist(cfg)
     n = cfg.fft_len
     k = np.arange(n)
     k = np.minimum(k, n - k)
     freq = k * (cfg.sample_rate / n)
     x = np.clip((gate.crossover_hz - freq) / gate.steepness_hz, -500.0, 500.0)
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def subband_gate(spec_d: np.ndarray, gate: SubbandGate | None,
-                 cfg: AnalysisConfig) -> np.ndarray:
-    """Blend a differential-filter spectrum toward the identity filter above
-    the crossover: out = 1 + g * (spec - 1) per bin.
-
-    gate=None bypasses gating bit-exactly (the input is returned unchanged).
-    """
-    if gate is None:
-        return spec_d
-    spec_d = np.asarray(spec_d)
-    if spec_d.shape[-1] != cfg.fft_len:
-        raise ValueError(f"expected {cfg.fft_len} bins, got {spec_d.shape[-1]}")
-    g = gate_weights(gate, cfg)
-    return 1.0 + g * (spec_d - 1.0)
 
 
 def _onset_rotation(cfg: AnalysisConfig, taps: int):
@@ -84,7 +67,7 @@ def design_filter(spec_d: np.ndarray, cfg: AnalysisConfig, taps: int,
     delay = 0
     if gate is not None:
         delay, rotation = _onset_rotation(cfg, taps)
-        spec_d = subband_gate(spec_d, gate, cfg) * rotation
+        spec_d = (1.0 + gate_weights(gate, cfg) * (spec_d - 1.0)) * rotation
     h = np.fft.ifft(spec_d, axis=-1)
     # The spectrum of any real liftered cepstrum is conjugate-symmetric, so
     # the imaginary part should be rounding noise only.

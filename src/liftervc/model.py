@@ -11,7 +11,7 @@ Model file layout (all little-endian):
     bytes 0..7    magic "LVCMODEL"
     bytes 8..11   format version (uint32, currently 1)
     bytes 12..15  config length L (uint32)
-    bytes 16..    config JSON (L bytes, sorted keys)
+    bytes 16..    config JSON (L bytes, sorted keys; "subband" is the gate)
     then          float64 parameter blocks in param_entries() order:
                   in_mean, in_std, out_mean, out_std, lifter, then per GLU
                   layer {w_value, b_value, bn_value gamma/beta/running_mean/
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .cepstral import Lifter
-from .config import AnalysisConfig
+from .config import AnalysisConfig, SubbandGate
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -149,6 +149,7 @@ class AcousticModel:
         self.out_mean = np.zeros(cfg.cep_dim)
         self.out_std = np.ones(cfg.cep_dim)
         self.lifter = Lifter.minimum_phase(cfg)
+        self.subband: SubbandGate | None = None  # the gate it is served with
 
     # -- inference / training math -------------------------------------------
 
@@ -291,6 +292,7 @@ def _config_block(model: AcousticModel) -> bytes:
         **asdict(model.cfg),
         "hidden": list(model.hidden),
         "lifter_trainable": bool(model.lifter.trainable),
+        "subband": asdict(model.subband) if model.subband else None,
         "bn_eps": BN_EPS,
         "bn_momentum": BN_MOMENTUM,
     }
@@ -324,6 +326,10 @@ def load_model(path, expected_cfg: AnalysisConfig | None = None) -> AcousticMode
         cfg = AnalysisConfig(**{f.name: doc[f.name]
                                 for f in fields(AnalysisConfig)})
         hidden = tuple(doc["hidden"])
+        sub = doc.get("subband")  # absent in older files: ungated
+        gate = None if sub is None else SubbandGate(**sub)
+        if gate is not None:
+            gate.check_below_nyquist(cfg)
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelFileError(f"corrupt model file (bad config: {exc})") from exc
     if expected_cfg is not None and cfg != expected_cfg:
@@ -332,6 +338,7 @@ def load_model(path, expected_cfg: AnalysisConfig | None = None) -> AcousticMode
 
     model = AcousticModel(cfg, hidden=hidden, seed=0)
     model.lifter.trainable = bool(doc.get("lifter_trainable", False))
+    model.subband = gate
     offset += blob_len
     for name, arr in model.param_entries():
         nbytes = arr.size * 8

@@ -78,12 +78,14 @@ def eval_rmse(model: AcousticModel, data: TrainingSet, taps: int,
 
 
 def cumulative_power(model: AcousticModel, data: TrainingSet,
+                     gate: SubbandGate | None = None,
                      batch_size: int = 512) -> np.ndarray:
     """Average normalized cumulative energy of the full-length differential
     filters the model designs for an evaluation set.
 
-    Entry n is the mean over frames of sum(h[:n+1]**2) / sum(h**2); the curve
-    is nondecreasing and ends at 1. A fast rise means the filter survives
+    Entry n is the mean over frames of sum(h[:n+1]**2) / sum(h**2), taps
+    counted from the time origin (a gated filter's acausal lobe wraps to the
+    end); the curve rises to 1. A fast rise means the filter survives
     truncation.
     """
     if len(data) == 0:
@@ -92,8 +94,9 @@ def cumulative_power(model: AcousticModel, data: TrainingSet,
     total = np.zeros(cfg.fft_len)
     for a in range(0, len(data), batch_size):
         cep_d = model.forward(data.src_cep[a:a + batch_size])
-        filters, _ = conversion_filters(cep_d, model.lifter.coeffs, cfg,
-                                        cfg.fft_len)
+        filters, delay = conversion_filters(cep_d, model.lifter.coeffs, cfg,
+                                            cfg.fft_len, gate)
+        filters = np.roll(filters, -delay, axis=1)
         power = filters * filters
         cum = np.cumsum(power, axis=1)
         total += (cum / cum[:, -1:]).sum(axis=0)

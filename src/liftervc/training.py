@@ -151,8 +151,8 @@ def train_lifter(model: AcousticModel, data: TrainingSet, cfg: TrainConfig,
 
     The model should be pretrained and its lifter initialized to the
     minimum-phase prefix; training marks the lifter trainable and updates it
-    together with the network by Adam. The reported rmse is the root of the
-    validation chain loss at cfg.taps.
+    together with the network by Adam, and records the gate in the model.
+    The reported rmse is the root of the validation chain loss at cfg.taps.
     """
     def step(idx):
         result = forward_chain(
@@ -166,4 +166,5 @@ def train_lifter(model: AcousticModel, data: TrainingSet, cfg: TrainConfig,
         cfg.finetune_lr, step,
         lambda val: float(frame_losses(model, val, cfg.taps, gate).mean()))
     model.lifter.trainable = True
+    model.subband = gate
     return log

@@ -4,8 +4,8 @@ import shutil
 import numpy as np
 import pytest
 
-from liftervc import (AnalysisConfig, TrainingSet, load_model, save_model,
-                      wav_read)
+from liftervc import (AnalysisConfig, SubbandGate, TrainingSet, convert,
+                      load_model, save_model, wav_read, wav_write)
 from liftervc.cli import main
 from liftervc.synthetic import make_corpus
 
@@ -146,24 +146,11 @@ def test_eval_rejects_malformed_pairs_csv(workspace, tmp_path, capsys):
     assert "source,target" in err
 
 
-def test_convert_gated_flag(workspace, capsys):
-    """The --subband flag must be accepted; with a crossover below Nyquist
-    the conversion still succeeds end to end."""
-    converted = workspace / "converted_gated.wav"
-    code, out, err = run_cli("convert", "--model", workspace / "model.l12.lvc",
-                             "--in", workspace / "test_001_src.wav",
-                             "--out", converted, "--subband",
-                             "--crossover-hz", "4000",
-                             "--steepness-hz", "500", capsys=capsys)
-    assert code == 0, err
-    assert converted.exists()
-
-
-def test_train_lifter_trains_the_gated_filter(workspace, tmp_path, capsys):
-    """With sub-band gating enabled in the config, train-lifter optimizes the
-    gated filter: its reported validation rmse is what `eval --subband`
-    scores for the tuned model, not the ungated score."""
-    for name in ("model.lvc", "train.npz", "val.npz"):
+def gated_run(workspace, tmp_path, files=("model.lvc", "train.npz",
+                                          "val.npz")):
+    """A config in tmp_path, copied from the workspace's, with the gate on;
+    returns its path and document."""
+    for name in files:
         shutil.copy(workspace / name, tmp_path / name)
     doc = json.loads((workspace / "config.json").read_text())
     doc.update(model_file=str(tmp_path / "model.lvc"), output_dir=str(tmp_path),
@@ -171,21 +158,86 @@ def test_train_lifter_trains_the_gated_filter(workspace, tmp_path, capsys):
                         "steepness_hz": 500.0})
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
+    return config, doc
+
+
+def test_train_lifter_trains_the_gated_filter(workspace, tmp_path, capsys):
+    """With sub-band gating enabled in the config, train-lifter optimizes the
+    gated filter and stores the gate in the model it saves: `eval` of that
+    model, without flags, scores what training reported, and the same model
+    saved ungated does not."""
+    config, _ = gated_run(workspace, tmp_path)
     code, out, err = run_cli("train-lifter", "--config", config, "--taps", 12,
                              capsys=capsys)
     assert code == 0, err
     trained = out.split("val rmse ")[1].split()[0]
 
-    def eval_rmse(*gate_flags):
-        code, out, err = run_cli("eval", "--model", tmp_path / "model.l12.lvc",
+    def eval_rmse(model_path):
+        code, out, err = run_cli("eval", "--model", model_path,
                                  "--pairs", tmp_path / "val.npz", "--taps", 12,
-                                 *gate_flags, capsys=capsys)
+                                 capsys=capsys)
         assert code == 0, err
         return f"{float(out.split()[1]):.6f}"
 
-    assert eval_rmse("--subband", "--crossover-hz", "4000",
-                     "--steepness-hz", "500") == trained
-    assert eval_rmse() != trained
+    tuned = load_model(tmp_path / "model.l12.lvc")
+    assert tuned.subband == SubbandGate(crossover_hz=4000.0, steepness_hz=500.0)
+    assert eval_rmse(tmp_path / "model.l12.lvc") == trained
+    tuned.subband = None
+    save_model(tuned, tmp_path / "ungated.lvc")
+    assert eval_rmse(tmp_path / "ungated.lvc") != trained
+
+
+def test_pretrain_stores_the_gate_that_convert_applies(workspace, tmp_path,
+                                                       capsys):
+    """pretrain writes the config's gate into the model; convert, without
+    flags, applies it; train-lifter replaces it with its own config's."""
+    config, doc = gated_run(workspace, tmp_path, files=("train.npz", "val.npz"))
+    code, out, err = run_cli("pretrain", "--config", config, capsys=capsys)
+    assert code == 0, err
+    gate = SubbandGate(crossover_hz=4000.0, steepness_hz=500.0)
+    model = load_model(tmp_path / "model.lvc")
+    assert model.subband == gate
+
+    src = workspace / "test_000_src.wav"
+    code, out, err = run_cli("convert", "--model", tmp_path / "model.lvc",
+                             "--in", src, "--out", tmp_path / "out.wav",
+                             "--taps", 12, capsys=capsys)
+    assert code == 0, err
+    got = (tmp_path / "out.wav").read_bytes()
+    for name, want_gate in (("gated.wav", gate), ("ungated.wav", None)):
+        wav_write(tmp_path / name,
+                  convert(wav_read(src), model, taps=12, gate=want_gate))
+    assert got == (tmp_path / "gated.wav").read_bytes()
+    assert got != (tmp_path / "ungated.wav").read_bytes()
+
+    del doc["subband"]
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli("train-lifter", "--config", config, "--taps", 12,
+                             capsys=capsys)
+    assert code == 0, err
+    assert load_model(tmp_path / "model.l12.lvc").subband is None
+
+
+@pytest.mark.parametrize("section,key,value,name", [
+    ("train", "taps", True, "TrainConfig.taps"),
+    ("train", "taps", 12.5, "TrainConfig.taps"),
+    ("train", "epochs", 2.5, "TrainConfig.epochs"),
+    ("analysis", "fft_len", "512", "AnalysisConfig.fft_len"),
+    ("subband", "enabled", "false", "subband.enabled"),
+])
+def test_config_values_are_type_checked(tmp_path, capsys, section, key,
+                                        value, name):
+    """A config value of the wrong type fails as the config loads, with a
+    one-line error that names the field."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {key: value},
+                                  "output_dir": str(tmp_path),
+                                  "model_file": str(tmp_path / "model.lvc")}))
+    code, out, err = run_cli("train-lifter", "--config", config,
+                             capsys=capsys)
+    assert code == 1
+    assert name in err
+    assert err.count("\n") == 1
 
 
 def test_train_lifter_rejects_gate_in_training_key(workspace, tmp_path,

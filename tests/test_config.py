@@ -88,8 +88,13 @@ def test_run_config_disabled_gate_is_none(tmp_path):
     path.write_text(json.dumps({"subband": {"enabled": False,
                                             "crossover_hz": 4000.0}}))
     assert RunConfig.from_json(path).subband is None
-    path.write_text(json.dumps({"subband": {"enabled": True}}))
+    path.write_text(json.dumps({"analysis": {"sample_rate": 48000},
+                                "subband": {"enabled": True}}))
     assert RunConfig.from_json(path).subband == SubbandGate()
+    # At 16 kHz the default 8 kHz crossover sits at Nyquist.
+    path.write_text(json.dumps({"subband": {"enabled": True}}))
+    with pytest.raises(ValueError, match="Nyquist"):
+        RunConfig.from_json(path)
     # The gate keys are checked even when gating is off.
     path.write_text(json.dumps({"subband": {"enabled": False,
                                             "crossover_hz": -1.0}}))

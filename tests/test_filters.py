@@ -4,7 +4,7 @@ import pytest
 from liftervc import (AnalysisConfig, Lifter, SubbandGate, Waveform,
                       conversion_filters, design_filter, ola_filter,
                       real_cepstrum, reconstruct_spectrum, stft,
-                      subband_gate, truncate_filter)
+                      truncate_filter)
 from liftervc.filters import gate_weights
 from liftervc.spectral import frame_count
 
@@ -92,23 +92,6 @@ def test_gate_crossover_must_be_below_nyquist(small_cfg):
         gate_weights(SubbandGate(crossover_hz=8000.0), small_cfg)
 
 
-def test_subband_gate_none_is_bitexact_passthrough(small_cfg, rng):
-    spec = rng.normal(size=small_cfg.fft_len) + 1j * rng.normal(size=small_cfg.fft_len)
-    out = subband_gate(spec, None, small_cfg)
-    assert out is spec
-
-
-def test_subband_gate_blends_toward_identity(small_cfg, rng):
-    spec = (rng.normal(size=small_cfg.fft_len)
-            + 1j * rng.normal(size=small_cfg.fft_len))
-    gate = SubbandGate(crossover_hz=2000.0, steepness_hz=100.0)
-    out = subband_gate(spec, gate, small_cfg)
-    g = gate_weights(gate, small_cfg)
-    assert np.allclose(out, 1.0 + g * (spec - 1.0))
-    with pytest.raises(ValueError):
-        subband_gate(spec[:-1], gate, small_cfg)
-
-
 def test_conversion_filters_ungated_no_delay(small_cfg, rng):
     u = Lifter.minimum_phase(small_cfg).coeffs
     cep = rng.normal(size=(3, small_cfg.cep_dim)) * 0.2
@@ -143,7 +126,7 @@ def test_gated_full_filter_matches_gated_spectrum(small_cfg, rng):
     # At full length the onset rotation is circular: undoing it recovers
     # the gated spectrum.
     assert delay == small_cfg.fft_len // 4
-    want = subband_gate(reconstruct_spectrum(cep, u, small_cfg), gate,
-                        small_cfg)
+    spec = reconstruct_spectrum(cep, u, small_cfg)
+    want = 1.0 + gate_weights(gate, small_cfg) * (spec - 1.0)
     assert np.allclose(np.fft.fft(np.roll(h, -delay)), want, atol=1e-9)
 

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from liftervc import AcousticModel, Adam, constant_model, load_model, save_model
+from liftervc import (AcousticModel, Adam, SubbandGate, constant_model,
+                      load_model, save_model)
 from liftervc.model import (BN_EPS, BN_MOMENTUM, FORMAT_VERSION, BatchNorm,
                             ModelFileError, sigmoid)
 
@@ -198,6 +201,59 @@ def test_save_load_roundtrip_bitexact(small_cfg, rng, tmp_path):
     path2 = tmp_path / "m2.lvc"
     save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def edit_config_block(path, edit) -> None:
+    """Rewrite a model file's config block through edit(doc)."""
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[12:16], "little")
+    doc = json.loads(raw[16:16 + n])
+    edit(doc)
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:12] + len(blob).to_bytes(4, "little") + blob
+                     + raw[16 + n:])
+
+
+def test_save_load_roundtrip_keeps_the_gate(small_cfg, tmp_path):
+    model = AcousticModel(small_cfg, hidden=(4, 3))
+    model.subband = SubbandGate(crossover_hz=3000.0, steepness_hz=250.0)
+    path, path2 = tmp_path / "m.lvc", tmp_path / "m2.lvc"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.subband == model.subband
+    save_model(loaded, path2)
+    assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_without_subband_key_is_ungated(small_cfg, tmp_path):
+    """Files written before the gate was stored have no "subband" key; they
+    load ungated, which is how they were served by default."""
+    path = tmp_path / "m.lvc"
+    model = AcousticModel(small_cfg, hidden=(4, 3))
+    save_model(model, path)
+    assert b'"subband":null' in path.read_bytes()
+    model.subband = SubbandGate(crossover_hz=3000.0)
+    save_model(model, path)
+    edit_config_block(path, lambda doc: doc.pop("subband"))
+    assert load_model(path).subband is None
+
+
+@pytest.mark.parametrize("changes,match", [
+    ({"subband": {"crossover_hz": 3000.0, "steepness_hz": 200.0,
+                  "enabled": True}}, "enabled"),
+    ({"subband": {"crossover_hz": 0.0, "steepness_hz": 200.0}},
+     "crossover must be positive"),
+    ({"subband": {"crossover_hz": 8000.0, "steepness_hz": 200.0}}, "Nyquist"),
+    ({"subband": {"crossover_hz": "3000", "steepness_hz": 200.0}},
+     "SubbandGate.crossover_hz"),
+    ({"fft_len": 64.0}, "AnalysisConfig.fft_len"),
+])
+def test_load_rejects_bad_config_values(small_cfg, tmp_path, changes, match):
+    path = tmp_path / "m.lvc"
+    save_model(AcousticModel(small_cfg, hidden=(4, 3)), path)
+    edit_config_block(path, lambda doc: doc.update(changes))
+    with pytest.raises(ModelFileError, match=match):
+        load_model(path)
 
 
 def test_load_rejects_bad_magic(small_cfg, tmp_path):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from liftervc import (MAG_FLOOR, AnalysisConfig, Lifter, SubbandGate,
-                      Waveform, chain_forward, constant_model,
-                      conversion_filters, convert, cumulative_power, eval_rmse,
-                      power_threshold_tap)
+                      TrainingSet, Waveform, chain_forward, constant_model,
+                      conversion_filters, convert, cumulative_power,
+                      default_differential, eval_rmse, power_threshold_tap)
 from liftervc.runtime import BenchRow, bench_filtering, bench_to_csv
 from liftervc.synthetic import build_sweep_data, make_pair, synth_source
 
@@ -135,6 +135,20 @@ def test_cumulative_power_shape_and_limits(small_cfg, rng):
     tap95 = power_threshold_tap(curve, 0.95)
     assert curve[tap95] >= 0.95
     assert tap95 == 0 or curve[tap95 - 1] < 0.95
+
+
+def test_cumulative_power_counts_from_the_time_origin():
+    """A gated filter's time origin sits `delay` taps in; counted from
+    there, the gate leaves the 0.95 tap of the full-band default
+    differential where the ungated filter has it."""
+    cfg = AnalysisConfig.for_rate(48000)
+    model = constant_model(cfg, default_differential(cfg), hidden=(4, 3))
+    data = TrainingSet(np.zeros((2, cfg.cep_dim)), np.zeros((2, cfg.cep_dim)),
+                       np.zeros((2, cfg.fft_len), complex))
+    ungated = cumulative_power(model, data)
+    gated = cumulative_power(model, data, SubbandGate())
+    assert gated[-1] == pytest.approx(1.0)
+    assert power_threshold_tap(gated, 0.95) == power_threshold_tap(ungated, 0.95)
 
 
 def test_bench_filtering_rows(small_cfg):
