@@ -95,8 +95,8 @@ class AlignedPair:
     """Time-aligned training material for one utterance pair.
 
     src_cep and tgt_cep hold the warped cepstrum sequences; src_spec keeps
-    the complex source spectra at the same warped positions, which the
-    truncation-aware training chain needs.
+    the full complex source spectra (stft's half mirrored back to fft_len
+    bins) at the same warped positions, which the training chain needs.
     """
 
     src_cep: np.ndarray
@@ -115,9 +115,9 @@ def align_pair(src: Waveform, tgt: Waveform, cfg: AnalysisConfig) -> AlignedPair
     """Analyze a source/target utterance pair and warp them onto a common
     time axis."""
     src_spec = stft(src, cfg)
-    tgt_spec = stft(tgt, cfg)
     src_cep = real_cepstrum(src_spec, cfg)
-    tgt_cep = real_cepstrum(tgt_spec, cfg)
+    tgt_cep = real_cepstrum(stft(tgt, cfg), cfg)
+    src_spec = np.hstack([src_spec, src_spec[:, (cfg.fft_len - 1) // 2:0:-1].conj()])
     path = dtw_align(alignment_features(src_cep), alignment_features(tgt_cep))
     return AlignedPair(src_cep=src_cep[path[:, 0]],
                        tgt_cep=tgt_cep[path[:, 1]],

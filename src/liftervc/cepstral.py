@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AnalysisConfig
+from .spectral import bin_weights
 
 # Floor applied to spectral magnitudes before the log, so the analysis chain
 # is total and gradients through log|.| stay bounded.
@@ -14,18 +15,18 @@ MAG_FLOOR = 1e-10
 
 
 def real_cepstrum(frames: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
-    """Low-order real cepstrum of complex spectra.
+    """Low-order real cepstrum of half spectra.
 
-    frames has shape (..., fft_len); the result keeps the first cep_dim
-    quefrency coefficients of idft(log(max(|frames|, MAG_FLOOR))). The
-    log-magnitude of a real signal's spectrum is even, so the inverse
-    transform is real up to rounding.
+    frames has shape (..., fft_len // 2 + 1), the non-negative-frequency bins
+    of real signals' spectra (as spectral.stft returns them); the result
+    keeps the first cep_dim quefrency coefficients of
+    irfft(log(max(|frames|, MAG_FLOOR)), fft_len).
     """
     frames = np.asarray(frames)
-    if frames.shape[-1] != cfg.fft_len:
-        raise ValueError(f"expected {cfg.fft_len} bins, got {frames.shape[-1]}")
+    if frames.shape[-1] != cfg.bins:
+        raise ValueError(f"expected {cfg.bins} bins, got {frames.shape[-1]}")
     log_mag = np.log(np.maximum(np.abs(frames), MAG_FLOOR))
-    return np.fft.ifft(log_mag, axis=-1).real[..., :cfg.cep_dim]
+    return np.fft.irfft(log_mag, n=cfg.fft_len, axis=-1)[..., :cfg.cep_dim]
 
 
 def minimum_phase_lifter(n_fft: int) -> np.ndarray:
@@ -34,11 +35,7 @@ def minimum_phase_lifter(n_fft: int) -> np.ndarray:
     """
     if n_fft < 4 or n_fft % 2:
         raise ValueError("length must be even and at least 4")
-    u = np.zeros(n_fft)
-    u[0] = 1.0
-    u[n_fft // 2] = 1.0
-    u[1:n_fft // 2] = 2.0
-    return u
+    return np.concatenate([bin_weights(n_fft), np.zeros(n_fft // 2 - 1)])
 
 
 @dataclass
@@ -63,17 +60,15 @@ class Lifter:
 
 def reconstruct_spectrum(cep: np.ndarray, lifter: np.ndarray,
                          cfg: AnalysisConfig) -> np.ndarray:
-    """Complex spectrum from a liftered low-order cepstrum.
+    """Half spectrum from a liftered low-order cepstrum.
 
     The liftered cepstrum is zero-padded to fft_len and treated as a complex
-    cepstrum: the result is exp(dft(pad(lifter * cep))), shape (..., fft_len).
-    With the minimum-phase lifter this preserves the magnitude spectrum
-    encoded by cep and adds the minimum phase.
+    cepstrum: the result is exp(rfft(pad(lifter * cep))), shape
+    (..., fft_len // 2 + 1). With the minimum-phase lifter this preserves the
+    magnitude spectrum encoded by cep and adds the minimum phase.
     """
     cep = np.asarray(cep, dtype=np.float64)
     lifter = np.asarray(lifter, dtype=np.float64)
     if cep.shape[-1] != cfg.cep_dim or lifter.shape[-1] != cfg.cep_dim:
         raise ValueError(f"cepstrum and lifter must have length {cfg.cep_dim}")
-    padded = np.zeros(cep.shape[:-1] + (cfg.fft_len,))
-    padded[..., :cfg.cep_dim] = cep * lifter
-    return np.exp(np.fft.fft(padded, axis=-1))
+    return np.exp(np.fft.rfft(cep * lifter, n=cfg.fft_len, axis=-1))

@@ -5,10 +5,10 @@ filter would actually produce, and gradients of that loss with respect to
 the acoustic model and the lifter. The forward pass mirrors conversion
 frame by frame:
 
-    differential cepstrum -> lifter product -> zero-pad -> DFT -> exp
-    -> filters.design_filter (optional sub-band gate, onset rotation, IDFT,
-    keep l taps) -> DFT -> multiply with the source spectrum ->
-    cepstral.real_cepstrum (floored log magnitude -> IDFT -> first c
+    differential cepstrum -> lifter product -> zero-pad -> rfft -> exp
+    -> filters.design_filter (optional sub-band gate, onset rotation, irfft,
+    keep l taps) -> rfft -> multiply with the source spectrum ->
+    cepstral.real_cepstrum (floored log magnitude -> irfft -> first c
     quefrencies) -> squared error against the target
 
 The spectrum, the taps and the cepstrum come from the same
@@ -16,11 +16,12 @@ cepstral.reconstruct_spectrum, filters.design_filter and
 cepstral.real_cepstrum that conversion and analysis call, so the chain
 scores exactly the filter `convert` applies.
 
-Everything here is float64/complex128 numpy; the backward pass is written
-out by hand. Complex gradients follow the real-pair convention
-g = dL/d(Re z) + i*dL/d(Im z), under which the adjoint of the DFT is N times
-the inverse DFT (and vice versa), a product w = u*v pulls back as
-g_v = conj(u)*g_w, and the elementwise exp pulls back as conj(exp(z))*g_w.
+Every signal is real (float64), so spectra (complex128) hold fft_len // 2 + 1
+bins. The backward pass is written out by hand. Complex gradients follow the
+real-pair convention g = dL/d(Re z) + i*dL/d(Im z), under which rfft over N
+points pulls back as N * irfft(g / w) and irfft as rfft(g) * w / N, with
+w = [1, 2, ..., 2, 1] from spectral.bin_weights; a product z = u*v pulls back
+as g_v = conj(u)*g_z, and the elementwise exp as conj(exp(x))*g_exp.
 The floored log magnitude has gradient z/|z|^2 where the magnitude is above
 the floor and zero below it.
 """
@@ -35,6 +36,7 @@ from .cepstral import MAG_FLOOR, real_cepstrum, reconstruct_spectrum
 from .config import AnalysisConfig, SubbandGate
 from .filters import design_filter, design_filter_adjoint
 from .model import AcousticModel
+from .spectral import bin_weights
 
 
 @dataclass
@@ -68,18 +70,22 @@ def chain_forward(cep_d: np.ndarray, lifter: np.ndarray, spec_x: np.ndarray,
     """Loss of the truncated differential filter built from cep_d.
 
     cep_d: (B, c) differential cepstra. lifter: (c,). spec_x: (B, fft_len)
-    complex source spectra. tgt_cep: (B, c) target cepstra. taps: truncation
-    length l. Returns the estimated target cepstra, per-frame squared errors,
-    and their mean (the loss).
+    full or (B, fft_len // 2 + 1) half complex source spectra; only the half
+    is read. tgt_cep: (B, c) target cepstra. taps: truncation length l.
+    Returns the estimated target cepstra, per-frame squared errors, and
+    their mean (the loss).
     """
     cep_d = np.atleast_2d(np.asarray(cep_d, dtype=np.float64))
     tgt_cep = np.atleast_2d(np.asarray(tgt_cep, dtype=np.float64))
     spec_x = np.atleast_2d(np.asarray(spec_x, dtype=np.complex128))
     lifter = np.asarray(lifter, dtype=np.float64)
+    if spec_x.shape[1] not in (cfg.fft_len, cfg.bins):
+        raise ValueError(f"expected {cfg.fft_len} or {cfg.bins} source bins")
+    spec_x = spec_x[:, :cfg.bins]
     # reconstruct_spectrum checks the lengths, design_filter the taps.
     spec_d = reconstruct_spectrum(cep_d, lifter, cfg)
     f_l, _ = design_filter(spec_d, cfg, taps, gate)
-    spec_y = spec_x * np.fft.fft(f_l, n=cfg.fft_len, axis=1)
+    spec_y = spec_x * np.fft.rfft(f_l, n=cfg.fft_len, axis=1)
     cep_y = real_cepstrum(spec_y, cfg)
     err = cep_y - tgt_cep
     frame_losses = (err * err).sum(axis=1)
@@ -99,24 +105,19 @@ def chain_backward(cache: ChainCache, cfg: AnalysisConfig):
     Returns (g_cep_d, g_lifter) with shapes (B, c) and (c,).
     """
     n, c = cfg.fft_len, cfg.cep_dim
-    batch = cache.err.shape[0]
-
-    # d loss / d estimated cepstrum, zero-padded back to all n quefrencies.
-    g_cep_full = np.zeros((batch, n))
-    g_cep_full[:, :c] = (2.0 / batch) * cache.err
-    # Estimated cepstrum = Re(ifft(log-magnitude)); the log-magnitude is real.
-    g_logmag = np.fft.fft(g_cep_full, axis=1).real / n
+    w = bin_weights(n)
+    # Estimated cepstrum = irfft(log-magnitude)[:c]; the log-magnitude is real.
+    g_logmag = np.fft.rfft((2.0 / len(cache.err)) * cache.err, n).real * (w / n)
     # The floored magnitude, not the raw one: below the floor the raw value
     # may be 0, and np.where evaluates the division before it selects.
     mag = np.maximum(np.abs(cache.spec_y), MAG_FLOOR)
     g_spec_y = np.where(mag > MAG_FLOOR, g_logmag / (mag * mag),
                         0.0) * cache.spec_y
     g_spec_l = np.conj(cache.spec_x) * g_spec_y
-    g_f_l = np.fft.ifft(g_spec_l, axis=1).real[:, :cache.taps] * n
+    g_f_l = np.fft.irfft(g_spec_l / w, n)[:, :cache.taps] * n
     g_spec_d = design_filter_adjoint(g_f_l, cfg, cache.gate)
     g_log_spec = np.conj(cache.spec_d) * g_spec_d
-    g_padded = np.fft.ifft(g_log_spec, axis=1).real * n
-    g_liftered = g_padded[:, :c]
+    g_liftered = np.fft.irfft(g_log_spec / w, n)[:, :c] * n
     g_cep_d = g_liftered * cache.lifter
     g_lifter = (g_liftered * cache.cep_d).sum(axis=0)
     return g_cep_d, g_lifter

@@ -12,9 +12,9 @@ _TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def _check_types(obj) -> None:
-    """Each field holds its declared type: an int, an int or float, or a
-    str. A bool is never a number."""
-    for f in fields(obj):
+    """Each int, float or str field holds its declared type: an int, an int
+    or float, or a str. A bool is never a number."""
+    for f in (f for f in fields(obj) if f.type in _TYPES):
         value = getattr(obj, f.name)
         if isinstance(value, bool) or not isinstance(value, _TYPES[f.type]):
             raise TypeError(f"{type(obj).__name__}.{f.name} must be {f.type}, "
@@ -49,6 +49,10 @@ class AnalysisConfig:
             raise ValueError("cep_dim must not exceed fft_len / 2")
         if self.window not in ("hann", "rectangular"):
             raise ValueError(f"unknown analysis window: {self.window!r}")
+
+    @property
+    def bins(self) -> int:
+        return self.fft_len // 2 + 1  # rfft bins: a real signal's half spectrum
 
     @classmethod
     def for_rate(cls, sample_rate: int, **overrides) -> "AnalysisConfig":
@@ -132,14 +136,16 @@ class RunConfig:
     subband: SubbandGate | None = None
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.train.taps > self.analysis.fft_len:
             raise ValueError("taps must not exceed fft_len")
         if self.subband is not None:
             self.subband.check_below_nyquist(self.analysis)
-        for pairs in (self.train_pairs, self.val_pairs, self.test_pairs):
-            for pair in pairs:
-                if len(pair) != 2:
-                    raise ValueError("each data entry must be a [source, target] pair")
+        for split in ("train", "val", "test"):
+            for pair in getattr(self, f"{split}_pairs"):
+                if len(pair) != 2 or not all(isinstance(p, str) for p in pair):
+                    raise ValueError(f"each data.{split} entry must be a [source, "
+                                     f"target] pair of paths, got {list(pair)!r}")
 
     @classmethod
     def from_json(cls, path, check_paths: bool = True) -> "RunConfig":

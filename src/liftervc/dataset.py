@@ -17,8 +17,8 @@ class TrainingSet:
     """Frame-level training data pooled over utterances.
 
     src_cep, tgt_cep: (T, c) aligned cepstra. src_spec: (T, fft_len) complex
-    source spectra at the warped positions. offsets: utterance boundaries,
-    offsets[u]..offsets[u+1] is utterance u's frame range.
+    source spectra, all bins, at the warped positions. offsets: utterance
+    boundaries, offsets[u]..offsets[u+1] is utterance u's frame range.
     """
 
     src_cep: np.ndarray

@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .cepstral import reconstruct_spectrum
 from .config import AnalysisConfig, SubbandGate
-
-log = logging.getLogger(__name__)
-
-IMAG_RESIDUAL_TOL = 1e-6
+from .spectral import bin_weights
 
 
 def truncate_filter(taps: np.ndarray, length: int) -> np.ndarray:
@@ -23,13 +18,9 @@ def truncate_filter(taps: np.ndarray, length: int) -> np.ndarray:
 
 
 def gate_weights(gate: SubbandGate, cfg: AnalysisConfig) -> np.ndarray:
-    """Per-bin blend weights in [0, 1], mirrored above fft_len/2 so a gated
-    conjugate-symmetric spectrum stays conjugate-symmetric."""
+    """Blend weights in [0, 1] for the fft_len // 2 + 1 half-spectrum bins."""
     gate.check_below_nyquist(cfg)
-    n = cfg.fft_len
-    k = np.arange(n)
-    k = np.minimum(k, n - k)
-    freq = k * (cfg.sample_rate / n)
+    freq = np.arange(cfg.bins) * (cfg.sample_rate / cfg.fft_len)
     x = np.clip((gate.crossover_hz - freq) / gate.steepness_hz, -500.0, 500.0)
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -50,7 +41,7 @@ def _onset_rotation(cfg: AnalysisConfig, taps: int):
     response.
     """
     delay = min(cfg.fft_len // 4, taps // 2)
-    k = np.arange(cfg.fft_len)
+    k = np.arange(cfg.bins)
     return delay, np.exp(-2j * np.pi * k * delay / cfg.fft_len)
 
 
@@ -58,23 +49,19 @@ def design_filter(spec_d: np.ndarray, cfg: AnalysisConfig, taps: int,
                   gate: SubbandGate | None = None):
     """The FIR filters conversion applies, plus their onset delay.
 
-    spec_d: (..., fft_len) differential-filter spectra from
-    reconstruct_spectrum. The spectrum is gated and rotated by the onset
-    delay (if a gate is given), inverse transformed, and cut to `taps`.
-    Returns (filters of shape (..., taps), delay). The training chain scores
-    exactly these taps, so what it optimizes is what conversion applies.
+    spec_d: (..., fft_len // 2 + 1) half spectra from reconstruct_spectrum.
+    The spectrum is gated and rotated by the onset delay (if a gate is
+    given), inverse transformed by irfft, and cut to `taps`. Returns (filters
+    of shape (..., taps), delay). The training chain scores exactly these
+    taps, so what it optimizes is what conversion applies.
     """
+    if spec_d.shape[-1] != cfg.bins:
+        raise ValueError(f"expected {cfg.bins} bins, got {spec_d.shape[-1]}")
     delay = 0
     if gate is not None:
         delay, rotation = _onset_rotation(cfg, taps)
         spec_d = (1.0 + gate_weights(gate, cfg) * (spec_d - 1.0)) * rotation
-    h = np.fft.ifft(spec_d, axis=-1)
-    # The spectrum of any real liftered cepstrum is conjugate-symmetric, so
-    # the imaginary part should be rounding noise only.
-    residual = float(np.max(np.abs(h.imag))) if h.size else 0.0
-    if residual > IMAG_RESIDUAL_TOL:
-        log.warning("imaginary residual %.3e in impulse response", residual)
-    return truncate_filter(h.real, taps), delay
+    return truncate_filter(np.fft.irfft(spec_d, cfg.fft_len, axis=-1), taps), delay
 
 
 def design_filter_adjoint(g_taps: np.ndarray, cfg: AnalysisConfig,
@@ -82,12 +69,14 @@ def design_filter_adjoint(g_taps: np.ndarray, cfg: AnalysisConfig,
     """Pull a gradient on design_filter's taps back to its input spectrum.
 
     g_taps: (..., taps) gradient w.r.t. the cut filters. Returns the complex
-    gradient w.r.t. spec_d under the real-pair convention (see chain.py):
-    the cut zero-pads, the real inverse DFT pulls back as the DFT over
-    fft_len, the rotation by its conjugate, and the gate by its weights.
+    gradient w.r.t. the half spectrum spec_d under the real-pair convention
+    (see chain.py): the cut zero-pads, irfft pulls back as rfft(g) * w / n,
+    the rotation by its conjugate, and the gate by its weights.
     """
     n = cfg.fft_len
-    g_spec = np.fft.fft(g_taps, n=n, axis=-1) / n
+    if not 0 < g_taps.shape[-1] <= n:
+        raise ValueError(f"gradient must have 1..{n} taps")
+    g_spec = np.fft.rfft(g_taps, n, axis=-1) * (bin_weights(n) / n)
     if gate is None:
         return g_spec
     _, rotation = _onset_rotation(cfg, g_taps.shape[-1])

@@ -54,8 +54,8 @@ def stft(wave: Waveform, cfg: AnalysisConfig) -> np.ndarray:
     zero-padded to fft_len, and transformed. The signal tail is zero-padded
     so the final partial frame is still analyzed.
 
-    Returns a complex array of shape (frame_count, fft_len). Rows are
-    conjugate-symmetric because the input is real.
+    Returns the half spectra, shape (frame_count, fft_len // 2 + 1): the
+    input is real, so the bins above fft_len / 2 mirror those below.
     """
     if wave.sample_rate != cfg.sample_rate:
         raise ValueError(
@@ -69,7 +69,13 @@ def stft(wave: Waveform, cfg: AnalysisConfig) -> np.ndarray:
     frames = np.lib.stride_tricks.sliding_window_view(
         padded, cfg.window_len)[::cfg.hop]
     frames = frames * analysis_window(cfg)
-    return np.fft.fft(frames, n=cfg.fft_len, axis=1)
+    return np.fft.rfft(frames, n=cfg.fft_len, axis=1)
+
+
+def bin_weights(n: int) -> np.ndarray:
+    """How many of the n DFT bins each of rfft's n // 2 + 1 bins stands for:
+    1 for its own mirror image (DC, and Nyquist for even n), else 2."""
+    return np.where(2 * np.arange(n // 2 + 1) % n == 0, 1.0, 2.0)
 
 
 def _segments(samples: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
@@ -99,9 +105,12 @@ def _ola_fft(seg: np.ndarray, filters: np.ndarray) -> np.ndarray:
     n_fft = 1 << (out_len - 1).bit_length()
     spec = np.fft.rfft(seg, n_fft, axis=1) * np.fft.rfft(filters, n_fft, axis=1)
     blocks = np.fft.irfft(spec, n_fft, axis=1)[:, :out_len]
-    acc = np.zeros(n_frames * hop + taps - 1)
-    for t in range(n_frames):
-        acc[t * hop:t * hop + out_len] += blocks[t]
+    acc = np.zeros((n_frames + (out_len - 1) // hop) * hop)
+    # Block t lands at t*hop, so chunk j (hop samples) of every block fills a
+    # disjoint slot: one strided add per chunk, last first (frame order).
+    for lo in reversed(range(0, out_len, hop)):
+        chunk = blocks[:, lo:lo + hop]
+        acc[lo:lo + n_frames * hop].reshape(n_frames, hop)[:, :chunk.shape[1]] += chunk
     return acc
 
 

@@ -16,11 +16,13 @@ from liftervc.model import BN_EPS
 
 
 def naive_dft(x):
-    """O(N^2) forward DFT of a single vector via the exponential matrix."""
+    """O(N^2) forward DFT of a single vector via the exponential matrix.
+    The exponent k*j is reduced mod N first, so the phases stay exact to
+    rounding at N in the thousands."""
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
     k = np.arange(n)
-    mat = np.exp(-2j * np.pi * np.outer(k, k) / n)
+    mat = np.exp(-2j * np.pi * (np.outer(k, k) % n) / n)
     return mat @ x
 
 
@@ -29,8 +31,36 @@ def naive_idft(x):
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
     k = np.arange(n)
-    mat = np.exp(2j * np.pi * np.outer(k, k) / n)
+    mat = np.exp(2j * np.pi * (np.outer(k, k) % n) / n)
     return mat @ x / n
+
+
+def full_spectrum(half, n):
+    """The n-bin spectrum of a real signal from its n//2+1 non-negative-
+    frequency bins (the last axis): bin n-k is the conjugate of bin k."""
+    half = np.asarray(half, dtype=np.complex128)
+    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    for k in range(n):
+        full[..., k] = half[..., k] if k <= n // 2 else np.conj(half[..., n - k])
+    return full
+
+
+def naive_stft(samples, cfg):
+    """Full n-bin DFT of each Hann-windowed, zero-padded analysis frame,
+    frame t starting at t*hop, one frame at a time."""
+    samples = np.asarray(samples, dtype=np.float64)
+    length, hop, n = cfg.window_len, cfg.hop, cfg.fft_len
+    n_frames = -(-samples.size // hop)
+    padded = np.zeros((n_frames - 1) * hop + length)
+    padded[:samples.size] = samples
+    window = np.array([0.5 - 0.5 * math.cos(2.0 * math.pi * i / length)
+                       for i in range(length)])
+    rows = []
+    for t in range(n_frames):
+        frame = np.zeros(n)
+        frame[:length] = padded[t * hop:t * hop + length] * window
+        rows.append(naive_dft(frame))
+    return np.array(rows)
 
 
 def naive_gate_weights(crossover_hz, steepness_hz, cfg):
@@ -43,31 +73,36 @@ def naive_gate_weights(crossover_hz, steepness_hz, cfg):
     return w
 
 
-def naive_chain_loss(cep_d, lifter, spec_x, tgt_cep, taps, cfg, gate=None):
-    """Frame-by-frame reimplementation of the truncation-chain loss.
+def naive_design(cep_d, lifter, cfg, taps, gate=None):
+    """The first `taps` taps of one frame's filter, over all fft_len bins:
+    exp(DFT(pad(lifter * cep))), blended to 1 above the crossover when
+    gated, inverse DFT. A gated response is circularly shifted by the
+    converter's onset delay, min(fft_len // 4, taps // 2) taps, before the
+    cut."""
+    n, c = cfg.fft_len, cfg.cep_dim
+    padded = np.zeros(n)
+    padded[:c] = np.asarray(cep_d, dtype=np.float64) * lifter
+    spec_d = np.exp(naive_dft(padded))
+    delay = 0
+    if gate is not None:
+        gate_w = naive_gate_weights(gate.crossover_hz, gate.steepness_hz, cfg)
+        spec_d = 1.0 + gate_w * (spec_d - 1.0)
+        delay = min(n // 4, taps // 2)
+    return np.roll(naive_idft(spec_d).real, delay)[:taps]
 
-    A gated response is circularly shifted by the converter's onset delay,
-    min(fft_len // 4, taps // 2) taps, before the first `taps` are kept: the
-    chain scores the filter conversion applies.
-    """
+
+def naive_chain_loss(cep_d, lifter, spec_x, tgt_cep, taps, cfg, gate=None):
+    """Frame-by-frame reimplementation of the truncation-chain loss, on
+    full fft_len-bin source spectra: the chain scores the filter
+    conversion applies (naive_design)."""
     cep_d = np.atleast_2d(np.asarray(cep_d, dtype=np.float64))
     tgt_cep = np.atleast_2d(np.asarray(tgt_cep, dtype=np.float64))
     spec_x = np.atleast_2d(np.asarray(spec_x, dtype=np.complex128))
     n, c = cfg.fft_len, cfg.cep_dim
-    gate_w, delay = None, 0
-    if gate is not None:
-        gate_w = naive_gate_weights(gate.crossover_hz, gate.steepness_hz, cfg)
-        delay = min(n // 4, taps // 2)
     losses = []
     for b in range(cep_d.shape[0]):
-        padded = np.zeros(n)
-        padded[:c] = cep_d[b] * lifter
-        spec_d = np.exp(naive_dft(padded))
-        if gate_w is not None:
-            spec_d = 1.0 + gate_w * (spec_d - 1.0)
-        f_full = np.roll(naive_idft(spec_d).real, delay)
         f_trunc = np.zeros(n)
-        f_trunc[:taps] = f_full[:taps]
+        f_trunc[:taps] = naive_design(cep_d[b], lifter, cfg, taps, gate)
         spec_y = spec_x[b] * naive_dft(f_trunc)
         log_mag = np.log(np.maximum(np.abs(spec_y), MAG_FLOOR))
         cep_y = naive_idft(log_mag).real[:c]

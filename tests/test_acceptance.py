@@ -21,7 +21,7 @@ from liftervc import (AcousticModel, AnalysisConfig, SubbandGate, TrainConfig,
                       train_lifter)
 from liftervc.synthetic import build_sweep_data
 
-from naive import naive_chain_loss
+from naive import full_spectrum, naive_chain_loss
 
 SWEEP_TAPS = (32, 48, 64, 128)
 
@@ -51,9 +51,10 @@ def random_chain_instance(i: int):
 
     wave = Waveform(rng.normal(size=cfg.window_len + 6 * cfg.hop) * 0.3,
                     cfg.sample_rate)
-    spec_x = stft(wave, cfg)[:3]
-    cep_x = real_cepstrum(spec_x, cfg) * 2.0
-    tgt = real_cepstrum(spec_x, cfg) + rng.normal(size=(3, cep)) * 0.3
+    half = stft(wave, cfg)[:3]
+    spec_x = full_spectrum(half, fft_len)
+    cep_x = real_cepstrum(half, cfg) * 2.0
+    tgt = real_cepstrum(half, cfg) + rng.normal(size=(3, cep)) * 0.3
 
     model = AcousticModel(cfg, hidden=(5, 4) if i % 2 else (6, 3), seed=i)
     model.out_std[:] = rng.uniform(0.5, 1.5, cep)
@@ -181,7 +182,8 @@ def test_naive_oracle_equivalence(capsys):
     for taps in (32, cfg.fft_len):
         res = forward_chain(model, cep_x, spec_x, tgt, taps)
         want = naive_chain_loss(model.forward(cep_x), model.lifter.coeffs,
-                                spec_x, tgt, taps, cfg)
+                                full_spectrum(spec_x, cfg.fft_len), tgt, taps,
+                                cfg)
         worst = max(worst, abs(res.loss - want))
 
     elapsed = time.perf_counter() - t0

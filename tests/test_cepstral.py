@@ -5,7 +5,7 @@ from liftervc import (AnalysisConfig, Lifter, Waveform, real_cepstrum,
                       reconstruct_spectrum, stft)
 from liftervc.cepstral import MAG_FLOOR, minimum_phase_lifter
 
-from naive import naive_real_cepstrum
+from naive import full_spectrum, naive_real_cepstrum, naive_stft
 
 
 def test_minimum_phase_lifter_values():
@@ -39,22 +39,36 @@ def test_real_cepstrum_matches_naive(small_cfg, rng):
     wave = Waveform(rng.normal(size=300) * 0.2, small_cfg.sample_rate)
     spec = stft(wave, small_cfg)
     got = real_cepstrum(spec, small_cfg)
-    want = naive_real_cepstrum(spec, small_cfg)
+    want = naive_real_cepstrum(full_spectrum(spec, small_cfg.fft_len),
+                               small_cfg)
     assert got.shape == (spec.shape[0], small_cfg.cep_dim)
     assert np.allclose(got, want, atol=1e-10)
 
 
+@pytest.mark.parametrize("rate", [16000, 48000])
+def test_real_cepstrum_of_stft_matches_naive_full_dft(rate, rng):
+    """Half-spectrum analysis end to end against frames transformed over
+    all fft_len bins by an explicit DFT."""
+    cfg = AnalysisConfig.for_rate(rate)
+    wave = Waveform(rng.normal(size=cfg.window_len) * 0.2, rate)
+    got = real_cepstrum(stft(wave, cfg), cfg)
+    want = naive_real_cepstrum(naive_stft(wave.samples, cfg), cfg)
+    assert np.allclose(got, want, rtol=0, atol=1e-10)
+
+
 def test_real_cepstrum_applies_floor(small_cfg):
     # all-zero spectrum: log(MAG_FLOOR) at every bin, cepstrum = [log F, 0...]
-    spec = np.zeros((1, small_cfg.fft_len), dtype=complex)
+    spec = np.zeros((1, small_cfg.fft_len // 2 + 1), dtype=complex)
     cep = real_cepstrum(spec, small_cfg)
     assert np.isclose(cep[0, 0], np.log(MAG_FLOOR))
     assert np.allclose(cep[0, 1:], 0.0, atol=1e-12)
 
 
 def test_real_cepstrum_checks_bins(small_cfg):
-    with pytest.raises(ValueError):
-        real_cepstrum(np.zeros((3, small_cfg.fft_len + 1)), small_cfg)
+    n = small_cfg.fft_len
+    for bins in (n // 2, n, n + 1):  # half spectra have n // 2 + 1 bins
+        with pytest.raises(ValueError):
+            real_cepstrum(np.zeros((3, bins)), small_cfg)
 
 
 def test_reconstruct_known_log_spectrum(small_cfg):
@@ -63,6 +77,7 @@ def test_reconstruct_known_log_spectrum(small_cfg):
     cep[0] = 0.7
     u = Lifter.minimum_phase(small_cfg).coeffs
     spec = reconstruct_spectrum(cep, u, small_cfg)
+    assert spec.shape == (small_cfg.fft_len // 2 + 1,)
     assert np.allclose(spec, np.exp(0.7))
 
 
@@ -90,7 +105,7 @@ def test_reconstruct_is_minimum_phase_causal(small_cfg, rng):
     cep = rng.normal(size=small_cfg.cep_dim) * 0.1
     u = Lifter.minimum_phase(small_cfg).coeffs
     spec = reconstruct_spectrum(cep, u, small_cfg)
-    h = np.fft.ifft(spec).real
+    h = np.fft.ifft(full_spectrum(spec, small_cfg.fft_len)).real
     assert np.isclose(h[0], np.exp(cep[0]), atol=1e-8)
 
 

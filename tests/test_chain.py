@@ -5,7 +5,7 @@ from liftervc import (AcousticModel, AnalysisConfig, Lifter, SubbandGate,
                       Waveform, backward_chain, chain_backward, chain_forward,
                       forward_chain, real_cepstrum, stft)
 
-from naive import naive_chain_loss
+from naive import full_spectrum, naive_chain_loss
 
 
 def random_instance(cfg, rng, batch=3):
@@ -23,7 +23,9 @@ def test_forward_matches_naive_reimplementation(small_cfg, rng):
     cep_d, lifter, spec_x, tgt = random_instance(small_cfg, rng)
     for taps in (4, 16, small_cfg.fft_len):
         got = chain_forward(cep_d, lifter, spec_x, tgt, taps, small_cfg)
-        want = naive_chain_loss(cep_d, lifter, spec_x, tgt, taps, small_cfg)
+        want = naive_chain_loss(cep_d, lifter,
+                                full_spectrum(spec_x, small_cfg.fft_len), tgt,
+                                taps, small_cfg)
         assert np.isclose(got.loss, want, rtol=1e-10, atol=1e-12)
 
 
@@ -33,9 +35,25 @@ def test_forward_matches_naive_with_gate(small_cfg, rng):
     for taps in (8, small_cfg.fft_len):
         got = chain_forward(cep_d, lifter, spec_x, tgt, taps, small_cfg,
                             gate=gate)
-        want = naive_chain_loss(cep_d, lifter, spec_x, tgt, taps, small_cfg,
-                                gate=gate)
+        want = naive_chain_loss(cep_d, lifter,
+                                full_spectrum(spec_x, small_cfg.fft_len), tgt,
+                                taps, small_cfg, gate=gate)
         assert np.isclose(got.loss, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("gate", [None, SubbandGate(crossover_hz=3000.0,
+                                                    steepness_hz=400.0)])
+def test_chain_forward_reads_only_the_half_spectrum(small_cfg, rng, gate):
+    """A full fft_len-bin source spectrum and its first fft_len // 2 + 1
+    bins give bit-identical estimates and losses."""
+    cep_d, lifter, spec_x, tgt = random_instance(small_cfg, rng)
+    full = full_spectrum(spec_x, small_cfg.fft_len)
+    for taps in (8, small_cfg.fft_len):
+        a = chain_forward(cep_d, lifter, full, tgt, taps, small_cfg, gate=gate)
+        b = chain_forward(cep_d, lifter, full[:, :spec_x.shape[1]], tgt, taps,
+                          small_cfg, gate=gate)
+        assert np.array_equal(a.frame_losses, b.frame_losses)
+        assert np.array_equal(a.cep_y, b.cep_y)
 
 
 def test_full_length_chain_is_cepstrum_addition(small_cfg, rng):
@@ -67,6 +85,8 @@ def test_chain_forward_validates(small_cfg, rng):
                       small_cfg)
     with pytest.raises(ValueError):
         chain_forward(cep_d[:, :-1], lifter, spec_x, tgt, 8, small_cfg)
+    with pytest.raises(ValueError):
+        chain_forward(cep_d, lifter, spec_x[:, :-1], tgt, 8, small_cfg)
 
 
 def fd_gradients(f, x, eps):

@@ -240,6 +240,27 @@ def test_config_values_are_type_checked(tmp_path, capsys, section, key,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key,value,name", [
+    ("silence_threshold_db", True, "RunConfig.silence_threshold_db"),
+    ("silence_threshold_db", "40", "RunConfig.silence_threshold_db"),
+    ("data", {"train": [[1, 2]]}, "data.train"),
+    ("model_file", 3, "RunConfig.model_file"),
+    ("output_dir", ["out"], "RunConfig.output_dir"),
+])
+def test_run_config_fields_are_type_checked(tmp_path, capsys, key, value,
+                                            name):
+    """The run config's own fields are checked as it loads: `prep` exits 1
+    with a one-line error naming the field, before it reads any audio."""
+    doc = {"output_dir": str(tmp_path), "model_file": str(tmp_path / "m.lvc")}
+    doc[key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli("prep", "--config", config, capsys=capsys)
+    assert code == 1
+    assert name in err
+    assert err.count("\n") == 1
+
+
 def test_train_lifter_rejects_gate_in_training_key(workspace, tmp_path,
                                                    capsys):
     """train.gate_in_training no longer exists: the gate follows

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from liftervc import (AnalysisConfig, Lifter, SubbandGate, Waveform,
-                      conversion_filters, design_filter, ola_filter,
-                      real_cepstrum, reconstruct_spectrum, stft,
-                      truncate_filter)
+                      conversion_filters, default_differential, design_filter,
+                      design_filter_adjoint, ola_filter, real_cepstrum,
+                      reconstruct_spectrum, stft, truncate_filter)
 from liftervc.filters import gate_weights
 from liftervc.spectral import frame_count
 
-from naive import naive_gate_weights
+from naive import naive_design, naive_gate_weights
 
 
 def full_filter(cep, u, cfg, gate=None):
@@ -44,7 +44,7 @@ def test_full_length_filter_reproduces_target_cepstrum(small_cfg, rng):
     spec_x = stft(wave, small_cfg)
     cep_x = real_cepstrum(spec_x, small_cfg)
     h, _ = full_filter(cep_d, u, small_cfg)
-    spec_y = spec_x * np.fft.fft(h)
+    spec_y = spec_x * np.fft.rfft(h)
     cep_y = real_cepstrum(spec_y, small_cfg)
     assert np.allclose(cep_y, cep_x + cep_d, atol=1e-9)
 
@@ -63,13 +63,13 @@ def test_truncate_filter_keeps_prefix(rng):
 def test_gate_weights_formula(small_cfg):
     gate = SubbandGate(crossover_hz=4000.0, steepness_hz=500.0)
     got = gate_weights(gate, small_cfg)
+    # one weight per half-spectrum bin: the oracle's lower half
     want = naive_gate_weights(4000.0, 500.0, small_cfg)
-    assert np.allclose(got, want, atol=1e-12)
+    assert got.shape == (small_cfg.fft_len // 2 + 1,)
+    assert np.allclose(got, want[:got.size], atol=1e-12)
     # exactly 0.5 where bin frequency hits the crossover
     k_cross = int(4000.0 * small_cfg.fft_len / small_cfg.sample_rate)
     assert np.isclose(got[k_cross], 0.5)
-    # mirrored upper half keeps conjugate symmetry of gated spectra
-    assert np.allclose(got[1:], got[:0:-1])
 
 
 def test_gate_weight_limits(small_cfg):
@@ -128,5 +128,34 @@ def test_gated_full_filter_matches_gated_spectrum(small_cfg, rng):
     assert delay == small_cfg.fft_len // 4
     spec = reconstruct_spectrum(cep, u, small_cfg)
     want = 1.0 + gate_weights(gate, small_cfg) * (spec - 1.0)
-    assert np.allclose(np.fft.fft(np.roll(h, -delay)), want, atol=1e-9)
+    assert np.allclose(np.fft.rfft(np.roll(h, -delay)), want, atol=1e-9)
+
+
+@pytest.mark.parametrize("gated", [False, True])
+@pytest.mark.parametrize("rate", [16000, 48000])
+def test_conversion_filters_match_naive_full_length_design(rng, rate, gated):
+    """The half-spectrum design against a design over all fft_len bins by
+    explicit DFTs, at both standard rates, short and full length."""
+    cfg = AnalysisConfig.for_rate(rate)
+    gate = None
+    if gated:
+        gate = SubbandGate() if rate == 48000 else SubbandGate(4000.0, 300.0)
+    u = Lifter.minimum_phase(cfg).coeffs
+    cep = np.vstack([default_differential(cfg),
+                     rng.normal(size=cfg.cep_dim) * 0.2])
+    for taps in (32, cfg.fft_len):
+        got, _ = conversion_filters(cep, u, cfg, taps, gate)
+        for b in range(cep.shape[0]):
+            want = naive_design(cep[b], u, cfg, taps, gate)
+            assert np.allclose(got[b], want, rtol=0, atol=1e-12), (b, taps)
+
+
+def test_design_rejects_wrong_bin_count(small_cfg):
+    n = small_cfg.fft_len
+    for bins in (n // 2, n):  # half spectra have n // 2 + 1 bins
+        with pytest.raises(ValueError):
+            design_filter(np.ones((2, bins), complex), small_cfg, 8)
+    for taps in (0, n + 1):
+        with pytest.raises(ValueError):
+            design_filter_adjoint(np.ones((2, taps)), small_cfg)
 
