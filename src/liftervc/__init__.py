@@ -9,11 +9,11 @@ from .chain import (ChainResult, backward_chain, chain_backward, chain_forward,
 from .config import AnalysisConfig, RunConfig, SubbandGate, TrainConfig
 from .dataset import TrainingSet, build_dataset
 from .filters import (conversion_filters, design_filter, design_filter_adjoint,
-                      gate_weights, truncate_filter)
+                      gate_weights)
 from .model import (AcousticModel, Adam, ModelFileError, constant_model,
                     load_model, save_model)
-from .runtime import (BenchRow, MetricsReport, bench_filtering, convert,
-                      cumulative_power, eval_rmse, power_threshold_tap)
+from .runtime import (MetricsReport, convert, cumulative_power, eval_rmse,
+                      power_threshold_tap)
 from .spectral import Waveform, ola_filter, stft
 from .synthetic import (SweepResult, default_differential, make_corpus,
                         make_pair, run_tap_sweep, spectral_tilt_cepstrum,
@@ -25,18 +25,16 @@ from .wavio import wav_read, wav_write
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcousticModel", "Adam", "AlignedPair", "AnalysisConfig", "BenchRow",
-    "ChainResult", "Lifter", "MAG_FLOOR", "MetricsReport", "ModelFileError",
-    "RunConfig", "SubbandGate", "SweepResult", "TrainConfig", "TrainingSet",
-    "TrainLog", "Waveform", "align_pair", "backward_chain", "bench_filtering",
-    "build_dataset", "chain_backward", "chain_forward", "constant_model",
-    "conversion_filters", "convert", "cumulative_power",
-    "default_differential", "design_filter", "design_filter_adjoint",
-    "dtw_align", "eval_rmse", "forward_chain", "frame_losses",
-    "gate_weights", "load_model", "make_corpus", "make_pair",
+    "AcousticModel", "Adam", "AlignedPair", "AnalysisConfig", "ChainResult",
+    "Lifter", "MAG_FLOOR", "MetricsReport", "ModelFileError", "RunConfig",
+    "SubbandGate", "SweepResult", "TrainConfig", "TrainingSet", "TrainLog",
+    "Waveform", "align_pair", "backward_chain", "build_dataset",
+    "chain_backward", "chain_forward", "constant_model", "conversion_filters",
+    "convert", "cumulative_power", "default_differential", "design_filter",
+    "design_filter_adjoint", "dtw_align", "eval_rmse", "forward_chain",
+    "frame_losses", "gate_weights", "load_model", "make_corpus", "make_pair",
     "minimum_phase_lifter", "ola_filter", "power_threshold_tap",
     "pretrain_conventional", "real_cepstrum", "reconstruct_spectrum",
     "run_tap_sweep", "save_model", "spectral_tilt_cepstrum", "stft",
-    "synth_source", "train_lifter", "trim_silence",
-    "truncate_filter", "wav_read", "wav_write",
+    "synth_source", "train_lifter", "trim_silence", "wav_read", "wav_write",
 ]

@@ -3,8 +3,8 @@
 Subcommands cover the full workflow: `prep` aligns WAV pairs into frame
 datasets, `pretrain` fits the acoustic model conventionally, `train-lifter`
 fine-tunes model and lifter through the truncation chain, `convert` runs
-voice conversion on a WAV file, `eval` reports cepstral RMSE, `cumpow` emits
-the cumulative-power diagnostic, and `bench` times the filtering stage.
+voice conversion on a WAV file, `eval` reports cepstral RMSE, and `cumpow`
+emits the cumulative-power diagnostic.
 
 Every command exits 0 on success and 1 with a one-line stderr diagnostic on
 failure, writing only under its declared output paths.
@@ -19,11 +19,10 @@ import sys
 from pathlib import Path
 
 from .cepstral import Lifter
-from .config import AnalysisConfig, RunConfig
+from .config import RunConfig
 from .dataset import TrainingSet, build_dataset
 from .model import AcousticModel, load_model, save_model
-from .runtime import (bench_filtering, bench_to_csv, convert, cumulative_power,
-                      eval_rmse, power_threshold_tap)
+from .runtime import convert, cumulative_power, eval_rmse, power_threshold_tap
 from .training import pretrain_conventional, train_lifter
 from .wavio import wav_read, wav_write
 
@@ -168,20 +167,6 @@ def cmd_cumpow(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    taps_list = [int(v) for v in args.taps.split(",") if v]
-    cfg = AnalysisConfig.for_rate(args.rate)
-    rows = bench_filtering(taps_list, duration_s=args.duration, cfg=cfg,
-                           mode=args.mode, repeats=args.repeats)
-    for r in rows:
-        print(f"taps {r.taps:5d}: {r.median_s * 1e3:9.2f} ms "
-              f"({r.ns_per_sample:8.1f} ns/sample, speedup {r.speedup:5.2f}x)")
-    if args.out:
-        bench_to_csv(rows, args.out)
-        print(f"csv -> {args.out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liftervc",
@@ -225,15 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="curve CSV")
     p.set_defaults(func=cmd_cumpow)
 
-    p = sub.add_parser("bench", help="time the filtering stage per tap count")
-    p.add_argument("--taps", default="32,64,128,256,512",
-                   help="comma-separated tap counts")
-    p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--rate", type=int, default=16000)
-    p.add_argument("--mode", choices=("auto", "direct", "fft"), default="direct")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

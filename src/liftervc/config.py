@@ -41,6 +41,9 @@ class AnalysisConfig:
         if min(self.sample_rate, self.window_len, self.hop,
                self.fft_len, self.cep_dim) <= 0:
             raise ValueError("analysis parameters must be positive")
+        if self.fft_len < 4 or self.fft_len % 2:
+            raise ValueError(
+                f"fft_len must be even and at least 4, got {self.fft_len}")
         if self.window_len > self.fft_len:
             raise ValueError("window_len must not exceed fft_len")
         if self.hop > self.window_len:

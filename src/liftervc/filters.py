@@ -1,4 +1,4 @@
-"""Differential-filter construction, truncation, and sub-band gating."""
+"""Differential-filter design, its adjoint, and sub-band gating."""
 
 from __future__ import annotations
 
@@ -7,14 +7,6 @@ import numpy as np
 from .cepstral import reconstruct_spectrum
 from .config import AnalysisConfig, SubbandGate
 from .spectral import bin_weights
-
-
-def truncate_filter(taps: np.ndarray, length: int) -> np.ndarray:
-    """Keep the first `length` taps (rectangular quefrency window, zeros dropped)."""
-    taps = np.asarray(taps)
-    if not 0 < length <= taps.shape[-1]:
-        raise ValueError(f"truncation length must be in 1..{taps.shape[-1]}")
-    return np.ascontiguousarray(taps[..., :length])
 
 
 def gate_weights(gate: SubbandGate, cfg: AnalysisConfig) -> np.ndarray:
@@ -57,11 +49,15 @@ def design_filter(spec_d: np.ndarray, cfg: AnalysisConfig, taps: int,
     """
     if spec_d.shape[-1] != cfg.bins:
         raise ValueError(f"expected {cfg.bins} bins, got {spec_d.shape[-1]}")
+    if not 0 < taps <= cfg.fft_len:
+        raise ValueError(f"truncation length must be in 1..{cfg.fft_len}")
     delay = 0
     if gate is not None:
         delay, rotation = _onset_rotation(cfg, taps)
         spec_d = (1.0 + gate_weights(gate, cfg) * (spec_d - 1.0)) * rotation
-    return truncate_filter(np.fft.irfft(spec_d, cfg.fft_len, axis=-1), taps), delay
+    # The copy lets the full-length irfft array go.
+    h = np.fft.irfft(spec_d, cfg.fft_len, axis=-1)
+    return np.ascontiguousarray(h[..., :taps]), delay
 
 
 def design_filter_adjoint(g_taps: np.ndarray, cfg: AnalysisConfig,

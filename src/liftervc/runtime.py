@@ -1,19 +1,18 @@
-"""End-to-end conversion, evaluation, diagnostics, and the filtering benchmark."""
+"""End-to-end conversion, evaluation, and diagnostics."""
 
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cepstral import real_cepstrum
-from .config import AnalysisConfig, SubbandGate
+from .config import SubbandGate
 from .dataset import TrainingSet
-from .filters import conversion_filters, truncate_filter
+from .filters import conversion_filters
 from .model import AcousticModel
-from .spectral import Waveform, frame_count, ola_filter, stft
+from .spectral import Waveform, ola_filter, stft
 from .training import frame_losses
 
 log = logging.getLogger(__name__)
@@ -106,52 +105,3 @@ def cumulative_power(model: AcousticModel, data: TrainingSet,
 def power_threshold_tap(curve: np.ndarray, fraction: float = 0.95) -> int:
     """First tap index at which the cumulative power reaches the fraction."""
     return int(np.argmax(curve >= fraction))
-
-
-@dataclass
-class BenchRow:
-    taps: int
-    median_s: float
-    ns_per_sample: float
-    speedup: float
-
-
-def bench_filtering(taps_list, duration_s: float = 10.0,
-                    cfg: AnalysisConfig | None = None, mode: str = "direct",
-                    repeats: int = 5, seed: int = 0) -> list:
-    """Median wall time of ola_filter per tap count on synthetic data.
-
-    Speedups are relative to the full fft_len filter, which is measured even
-    when absent from taps_list. Single-threaded numpy timing; repeats take
-    the median to damp scheduler noise.
-    """
-    cfg = cfg or AnalysisConfig()
-    rng = np.random.default_rng(seed)
-    n = int(round(duration_s * cfg.sample_rate))
-    wave = Waveform(rng.uniform(-0.5, 0.5, n), cfg.sample_rate)
-    n_frames = frame_count(n, cfg.hop)
-    full = rng.standard_normal((n_frames, cfg.fft_len)) * 0.05
-
-    taps_list = list(taps_list)
-    measured = sorted(set(taps_list) | {cfg.fft_len})
-    times = {}
-    for l in measured:
-        filters = truncate_filter(full, l)
-        ola_filter(wave, filters, cfg, mode=mode)  # warm-up
-        samples = []
-        for _ in range(repeats):
-            t0 = time.perf_counter_ns()
-            ola_filter(wave, filters, cfg, mode=mode)
-            samples.append(time.perf_counter_ns() - t0)
-        times[l] = float(np.median(samples)) / 1e9
-    reference = times[cfg.fft_len]
-    return [BenchRow(taps=l, median_s=times[l],
-                     ns_per_sample=times[l] * 1e9 / n,
-                     speedup=reference / times[l]) for l in taps_list]
-
-
-def bench_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("taps,median_s,ns_per_sample,speedup\n")
-        for r in rows:
-            fh.write(f"{r.taps},{r.median_s!r},{r.ns_per_sample!r},{r.speedup!r}\n")

@@ -115,7 +115,7 @@ def _ola_fft(seg: np.ndarray, filters: np.ndarray) -> np.ndarray:
 
 
 def ola_filter(wave: Waveform, filters: np.ndarray, cfg: AnalysisConfig,
-               mode: str = "auto", delay: int = 0) -> Waveform:
+               delay: int = 0) -> Waveform:
     """Filter a waveform with one FIR filter per analysis frame.
 
     The signal is split into consecutive hop-length blocks (block t starting
@@ -124,9 +124,8 @@ def ola_filter(wave: Waveform, filters: np.ndarray, cfg: AnalysisConfig,
     sample is therefore filtered exactly once. The output is trimmed back to
     the input length.
 
-    mode selects the convolution path: "direct" (per-tap multiply-add),
-    "fft" (block FFT convolution), or "auto" (fft for filters longer than
-    FFT_CONV_THRESHOLD taps). Both paths agree to within 1e-8.
+    Filters longer than FFT_CONV_THRESHOLD taps use block FFT convolution,
+    shorter ones the per-tap multiply-add; both paths agree to within 1e-8.
 
     delay drops that many leading output samples instead of trailing ones,
     compensating filters whose nominal time origin sits `delay` taps into
@@ -143,13 +142,6 @@ def ola_filter(wave: Waveform, filters: np.ndarray, cfg: AnalysisConfig,
         raise ValueError(f"filter length must be in 1..{cfg.fft_len}")
     if not 0 <= delay < taps:
         raise ValueError("delay must be smaller than the filter length")
-    if mode == "auto":
-        mode = "fft" if taps > FFT_CONV_THRESHOLD else "direct"
-    seg = _segments(wave.samples, cfg.hop, n_frames)
-    if mode == "direct":
-        acc = _ola_direct(seg, filters)
-    elif mode == "fft":
-        acc = _ola_fft(seg, filters)
-    else:
-        raise ValueError(f"unknown convolution mode: {mode!r}")
+    ola = _ola_fft if taps > FFT_CONV_THRESHOLD else _ola_direct
+    acc = ola(_segments(wave.samples, cfg.hop, n_frames), filters)
     return Waveform(acc[delay:delay + n].copy(), wave.sample_rate)

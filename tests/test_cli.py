@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liftervc import (AnalysisConfig, SubbandGate, TrainingSet, convert,
-                      load_model, save_model, wav_read, wav_write)
+from liftervc import (AcousticModel, AnalysisConfig, SubbandGate, TrainingSet,
+                      Waveform, convert, load_model, save_model, wav_read,
+                      wav_write)
 from liftervc.cli import main
 from liftervc.synthetic import make_corpus
 
@@ -95,13 +99,6 @@ def test_full_workflow(workspace, capsys):
     assert curve_lines[0] == "tap,cumulative_power"
     assert len(curve_lines) == 1 + 64
     assert float(curve_lines[-1].split(",")[1]) == pytest.approx(1.0)
-
-    code, out, err = run_cli("bench", "--taps", "4,16", "--duration", "0.2",
-                             "--repeats", "2", "--out",
-                             workspace / "bench.csv", capsys=capsys)
-    assert code == 0, err
-    assert (workspace / "bench.csv").exists()
-    assert "speedup" in out
 
 
 def test_prep_missing_config_fails(tmp_path, capsys):
@@ -287,3 +284,68 @@ def test_eval_rejects_non_finite_model(workspace, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "w_out" in err
     assert err.count("\n") == 1
+
+
+def test_prep_rejects_odd_fft_len(workspace, tmp_path, capsys):
+    """An odd fft_len fails as the config loads, not later in pretrain."""
+    doc = json.loads((workspace / "config.json").read_text())
+    doc["analysis"]["fft_len"] = 63
+    doc["output_dir"] = str(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli("prep", "--config", config, capsys=capsys)
+    assert code == 1
+    assert err.startswith("error:") and "fft_len" in err
+    assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def serving(tmp_path_factory):
+    """A small saved model, its file bytes, and a short source WAV."""
+    root = tmp_path_factory.mktemp("serving")
+    cfg = AnalysisConfig(window_len=48, hop=16, fft_len=64, cep_dim=8)
+    save_model(AcousticModel(cfg, hidden=(4, 3)), root / "model.lvc")
+    wav_write(root / "src.wav",
+              Waveform(np.linspace(-0.5, 0.5, 100), cfg.sample_rate))
+    return root, (root / "model.lvc").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_convert_rejects_every_truncated_model(serving, data):
+    """Every strict prefix of a model file, the empty one included, makes
+    convert exit 1 with a single error line."""
+    root, raw = serving
+    cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+    path = root / "cut.lvc"
+    path.write_bytes(raw[:cut])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _, _ = run_cli("convert", "--model", path, "--in",
+                             root / "src.wav", "--out", root / "out.wav")
+    assert code == 1
+    assert err.getvalue().startswith("error:")
+    assert err.getvalue().count("\n") == 1
+
+
+def test_convert_rejects_empty_wav(serving, tmp_path, capsys):
+    root, _ = serving
+    empty = tmp_path / "empty.wav"
+    wav_write(empty, Waveform(np.zeros(0), 16000))
+    code, out, err = run_cli("convert", "--model", root / "model.lvc", "--in",
+                             empty, "--out", tmp_path / "out.wav",
+                             capsys=capsys)
+    assert code == 1
+    assert err.startswith("error:") and "empty waveform" in err
+    assert not (tmp_path / "out.wav").exists()
+
+
+def test_convert_one_sample_wav(serving, tmp_path, capsys):
+    root, _ = serving
+    single = tmp_path / "single.wav"
+    wav_write(single, Waveform(np.array([0.25]), 16000))
+    code, out, err = run_cli("convert", "--model", root / "model.lvc", "--in",
+                             single, "--out", tmp_path / "out.wav",
+                             capsys=capsys)
+    assert code == 0, err
+    assert len(wav_read(tmp_path / "out.wav")) == 1

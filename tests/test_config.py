@@ -32,6 +32,8 @@ def test_analysis_config_validation():
         AnalysisConfig(window="blackman")
     with pytest.raises(ValueError):
         AnalysisConfig(hop=0)
+    with pytest.raises(ValueError, match="fft_len"):
+        AnalysisConfig(window_len=48, hop=16, fft_len=63, cep_dim=8)
 
 
 def test_train_config_validation():

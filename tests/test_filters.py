@@ -4,7 +4,7 @@ import pytest
 from liftervc import (AnalysisConfig, Lifter, SubbandGate, Waveform,
                       conversion_filters, default_differential, design_filter,
                       design_filter_adjoint, ola_filter, real_cepstrum,
-                      reconstruct_spectrum, stft, truncate_filter)
+                      reconstruct_spectrum, stft)
 from liftervc.filters import gate_weights
 from liftervc.spectral import frame_count
 
@@ -47,17 +47,6 @@ def test_full_length_filter_reproduces_target_cepstrum(small_cfg, rng):
     spec_y = spec_x * np.fft.rfft(h)
     cep_y = real_cepstrum(spec_y, small_cfg)
     assert np.allclose(cep_y, cep_x + cep_d, atol=1e-9)
-
-
-def test_truncate_filter_keeps_prefix(rng):
-    h = rng.normal(size=(3, 32))
-    t = truncate_filter(h, 10)
-    assert t.shape == (3, 10)
-    assert np.array_equal(t, h[:, :10])
-    with pytest.raises(ValueError):
-        truncate_filter(h, 0)
-    with pytest.raises(ValueError):
-        truncate_filter(h, 33)
 
 
 def test_gate_weights_formula(small_cfg):
@@ -156,6 +145,9 @@ def test_design_rejects_wrong_bin_count(small_cfg):
         with pytest.raises(ValueError):
             design_filter(np.ones((2, bins), complex), small_cfg, 8)
     for taps in (0, n + 1):
+        with pytest.raises(ValueError, match="truncation length"):
+            design_filter(np.ones((2, small_cfg.bins), complex), small_cfg,
+                          taps)
         with pytest.raises(ValueError):
             design_filter_adjoint(np.ones((2, taps)), small_cfg)
 

@@ -5,7 +5,6 @@ from liftervc import (MAG_FLOOR, AnalysisConfig, Lifter, SubbandGate,
                       TrainingSet, Waveform, chain_forward, constant_model,
                       conversion_filters, convert, cumulative_power,
                       default_differential, eval_rmse, power_threshold_tap)
-from liftervc.runtime import BenchRow, bench_filtering, bench_to_csv
 from liftervc.synthetic import build_sweep_data, make_pair, synth_source
 
 from naive import naive_ola
@@ -149,22 +148,3 @@ def test_cumulative_power_counts_from_the_time_origin():
     gated = cumulative_power(model, data, SubbandGate())
     assert gated[-1] == pytest.approx(1.0)
     assert power_threshold_tap(gated, 0.95) == power_threshold_tap(ungated, 0.95)
-
-
-def test_bench_filtering_rows(small_cfg):
-    rows = bench_filtering([4, 16], duration_s=0.2, cfg=small_cfg,
-                           mode="direct", repeats=2)
-    assert [r.taps for r in rows] == [4, 16]
-    for r in rows:
-        assert r.median_s > 0
-        assert r.ns_per_sample > 0
-        assert r.speedup > 0
-
-
-def test_bench_to_csv(tmp_path):
-    rows = [BenchRow(taps=4, median_s=0.1, ns_per_sample=10.0, speedup=2.0)]
-    path = tmp_path / "bench.csv"
-    bench_to_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "taps,median_s,ns_per_sample,speedup"
-    assert lines[1].startswith("4,")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftervc import AnalysisConfig, Waveform, ola_filter, stft
+from liftervc import AnalysisConfig, Waveform, ola_filter, spectral, stft
 from liftervc.spectral import analysis_window, frame_count
 
 from naive import full_spectrum, naive_ola
@@ -79,7 +79,7 @@ def test_ola_identity_impulse_filter(small_cfg, rng):
     assert np.allclose(out.samples, wave.samples, atol=1e-12)
 
 
-def test_ola_matches_naive_direct_and_fft(small_cfg, rng):
+def test_ola_matches_naive_direct_and_fft(small_cfg, rng, monkeypatch):
     wave = Waveform(rng.normal(size=333) * 0.1, small_cfg.sample_rate)
     n_frames = frame_count(len(wave), small_cfg.hop)
     hop = small_cfg.hop
@@ -91,10 +91,28 @@ def test_ola_matches_naive_direct_and_fft(small_cfg, rng):
     for taps, delay in [(7, 0), (20, 3), (64, 10)] + edges:
         filters = rng.normal(size=(n_frames, taps))
         want = naive_ola(wave.samples, filters, small_cfg.hop, delay)
-        got_d = ola_filter(wave, filters, small_cfg, mode="direct", delay=delay)
-        got_f = ola_filter(wave, filters, small_cfg, mode="fft", delay=delay)
-        assert np.allclose(got_d.samples, want, atol=1e-10), (taps, delay)
-        assert np.allclose(got_f.samples, want, atol=1e-10), (taps, delay)
+        # The tap count picks the path: a threshold of fft_len forces the
+        # direct one, a threshold of 0 the FFT one.
+        for threshold in (small_cfg.fft_len, 0):
+            monkeypatch.setattr(spectral, "FFT_CONV_THRESHOLD", threshold)
+            got = ola_filter(wave, filters, small_cfg, delay=delay)
+            assert np.allclose(got.samples, want, atol=1e-10), (
+                taps, delay, threshold)
+
+
+def test_ola_switches_path_at_the_threshold(rng):
+    """At the 16 kHz production geometry, without forcing a path, filters
+    of FFT_CONV_THRESHOLD taps (direct) and one more (FFT) both match the
+    naive overlap-add."""
+    cfg = AnalysisConfig.for_rate(16000)
+    wave = Waveform(rng.normal(size=1000) * 0.1, cfg.sample_rate)
+    n_frames = frame_count(len(wave), cfg.hop)
+    for taps in (spectral.FFT_CONV_THRESHOLD, spectral.FFT_CONV_THRESHOLD + 1):
+        filters = rng.normal(size=(n_frames, taps))
+        for delay in (0, taps // 2):
+            want = naive_ola(wave.samples, filters, cfg.hop, delay)
+            got = ola_filter(wave, filters, cfg, delay=delay)
+            assert np.allclose(got.samples, want, atol=1e-10), (taps, delay)
 
 
 def test_ola_constant_filter_equals_convolution(small_cfg, rng):
@@ -117,8 +135,6 @@ def test_ola_validates_arguments(small_cfg, rng):
         ola_filter(wave, np.ones((n_frames, small_cfg.fft_len + 1)), small_cfg)
     with pytest.raises(ValueError):
         ola_filter(wave, np.ones((n_frames, 4)), small_cfg, delay=4)
-    with pytest.raises(ValueError):
-        ola_filter(wave, np.ones((n_frames, 4)), small_cfg, mode="banana")
 
 
 @settings(max_examples=25, deadline=None)
