@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Fingerprint every output of the CLI workflow on a fixed synthetic corpus.
+"""Fingerprint every output of the CLI workflow on a fixed synthetic corpus,
+and of the quick truncation sweep.
 
 Runs prep, pretrain, then train-lifter, eval, cumpow and convert once
 ungated and once with the sub-band gate in the run config (the tuned model
-carries it to eval, cumpow and convert), all in a scratch directory, and
+carries it to eval, cumpow and convert), then
+`run_synthetic_experiment.py --quick`, all in a scratch directory, and
 prints one `sha256  name` line per artifact: dataset arrays, model files,
-the loss columns of the training logs, eval and cumpow CSVs and converted
-WAVs. Running it at two commits and diffing the printouts shows whether a
-change kept every output bit for bit:
+the loss columns of the training logs, eval, cumpow, sweep, lifter and
+cumulative-power CSVs and converted WAVs. Running it at two commits and
+diffing the printouts shows whether a change kept every output bit for bit:
 
     PYTHONPATH=src python scripts/output_fingerprint.py --work DIR > prints.txt
 
-The corpus uses a small analysis geometry so the whole run takes seconds.
+The corpus uses a small analysis geometry and the sweep its --quick sizes,
+so the whole run takes seconds.
 """
 
 import argparse
@@ -27,6 +30,8 @@ import numpy as np
 from liftervc import AnalysisConfig
 from liftervc.cli import main as cli
 from liftervc.synthetic import make_corpus
+
+import run_synthetic_experiment
 
 TAPS = 12
 GATE = {"enabled": True, "crossover_hz": 4000.0, "steepness_hz": 500.0}
@@ -99,6 +104,14 @@ def main(argv=None) -> int:
         for f in (f"lifter_l{TAPS}.csv", "eval.csv", "cumpow.csv",
                   f"out_{TAPS}.wav", f"out_{cfg.fft_len}.wav"):
             out[f"{name}/{f}"] = digest((run_dir / f).read_bytes())
+
+    sweep = work / "sweep"
+    with contextlib.redirect_stdout(sys.stderr):
+        run_synthetic_experiment.main(["--quick", "--out", str(sweep)])
+    for path in sorted(sweep.glob("*.csv")):
+        log = "_log" in path.stem
+        out[f"sweep/{path.stem if log else path.name}"] = digest(
+            loss_columns(path) if log else path.read_bytes())
 
     for name, value in out.items():
         print(f"{value}  {name}")

@@ -16,8 +16,8 @@ import logging
 import sys
 from pathlib import Path
 
-from liftervc import (Lifter, cumulative_power, power_threshold_tap,
-                      run_tap_sweep)
+from liftervc import cumulative_power, power_threshold_tap, run_tap_sweep
+from liftervc.runtime import write_cumulative_power_csv, write_lifter_csv
 
 
 def parse_args(argv):
@@ -49,28 +49,19 @@ def main(argv=None) -> int:
 
     result.to_csv(out / "sweep.csv")
     result.pretrain_log.to_csv(out / "pretrain_log.csv")
-    cfg = result.pretrained.cfg
-    reference = Lifter.minimum_phase(cfg).coeffs
     for l in taps:
         result.finetune_logs[l].to_csv(out / f"finetune_log_l{l}.csv")
-        with open(out / f"lifter_l{l}.csv", "w", newline="") as fh:
-            fh.write("quefrency,trained,minimum_phase\n")
-            for q, (u, m) in enumerate(zip(result.tuned[l].lifter.coeffs,
-                                           reference)):
-                fh.write(f"{q},{float(u)!r},{float(m)!r}\n")
+        write_lifter_csv(out / f"lifter_l{l}.csv", result.tuned[l])
 
     curve = cumulative_power(result.pretrained, result.val_data)
-    with open(out / "cumulative_power.csv", "w", newline="") as fh:
-        fh.write("tap,cumulative_power\n")
-        for tap, value in enumerate(curve):
-            fh.write(f"{tap},{float(value)!r}\n")
+    write_cumulative_power_csv(out / "cumulative_power.csv", curve)
 
     print()
     print(f"{'taps':>6} {'fixed rmse':>12} {'trained rmse':>13} {'gap':>10}")
     for l in taps:
         print(f"{l:>6} {result.fixed_rmse[l]:>12.5f} "
               f"{result.trained_rmse[l]:>13.5f} {result.gap(l):>10.5f}")
-    print(f"{cfg.fft_len:>6} {result.baseline_rmse:>12.5f} "
+    print(f"{result.pretrained.cfg.fft_len:>6} {result.baseline_rmse:>12.5f} "
           f"{'(untruncated, minimum-phase lifter)':>25}")
     shortest = min(taps)
     ratio = result.trained_rmse[shortest] / result.baseline_rmse

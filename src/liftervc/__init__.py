@@ -1,9 +1,8 @@
 """Voice conversion by spectral-differential filtering with a trainable,
 truncation-aware lifter and optional sub-band gating."""
 
-from .align import AlignedPair, align_pair, dtw_align, trim_silence
-from .cepstral import (MAG_FLOOR, Lifter, minimum_phase_lifter, real_cepstrum,
-                       reconstruct_spectrum)
+from .align import align_pair, dtw_align, trim_silence
+from .cepstral import MAG_FLOOR, Lifter, real_cepstrum, reconstruct_spectrum
 from .chain import (ChainResult, backward_chain, chain_backward, chain_forward,
                     forward_chain)
 from .config import AnalysisConfig, RunConfig, SubbandGate, TrainConfig
@@ -25,7 +24,7 @@ from .wavio import wav_read, wav_write
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcousticModel", "Adam", "AlignedPair", "AnalysisConfig", "ChainResult",
+    "AcousticModel", "Adam", "AnalysisConfig", "ChainResult",
     "Lifter", "MAG_FLOOR", "MetricsReport", "ModelFileError", "RunConfig",
     "SubbandGate", "SweepResult", "TrainConfig", "TrainingSet", "TrainLog",
     "Waveform", "align_pair", "backward_chain", "build_dataset",
@@ -33,7 +32,7 @@ __all__ = [
     "convert", "cumulative_power", "default_differential", "design_filter",
     "design_filter_adjoint", "dtw_align", "eval_rmse", "forward_chain",
     "frame_losses", "gate_weights", "load_model", "make_corpus", "make_pair",
-    "minimum_phase_lifter", "ola_filter", "power_threshold_tap",
+    "ola_filter", "power_threshold_tap",
     "pretrain_conventional", "real_cepstrum", "reconstruct_spectrum",
     "run_tap_sweep", "save_model", "spectral_tilt_cepstrum", "stft",
     "synth_source", "train_lifter", "trim_silence", "wav_read", "wav_write",

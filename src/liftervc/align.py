@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cepstral import real_cepstrum
@@ -12,7 +10,7 @@ from .spectral import Waveform, _segments, frame_count, stft
 
 
 def trim_silence(wave: Waveform, cfg: AnalysisConfig,
-                 threshold_db: float = 40.0) -> Waveform:
+                 threshold_db: float) -> Waveform:
     """Drop hop-length blocks whose RMS is more than threshold_db below the
     loudest block; the remaining blocks are concatenated.
 
@@ -90,35 +88,15 @@ def dtw_align(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return np.array(path[::-1], dtype=np.intp)
 
 
-@dataclass
-class AlignedPair:
-    """Time-aligned training material for one utterance pair.
-
-    src_cep and tgt_cep hold the warped cepstrum sequences; src_spec keeps
+def align_pair(src: Waveform, tgt: Waveform, cfg: AnalysisConfig
+               ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Analyze a source/target utterance pair and warp it onto a common time
+    axis: (src_cep, tgt_cep, src_spec), one row per path step. src_spec holds
     the full complex source spectra (stft's half mirrored back to fft_len
-    bins) at the same warped positions, which the training chain needs.
-    """
-
-    src_cep: np.ndarray
-    tgt_cep: np.ndarray
-    src_spec: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (len(self.src_cep) == len(self.tgt_cep) == len(self.src_spec)):
-            raise ValueError("aligned sequences must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.src_cep)
-
-
-def align_pair(src: Waveform, tgt: Waveform, cfg: AnalysisConfig) -> AlignedPair:
-    """Analyze a source/target utterance pair and warp them onto a common
-    time axis."""
+    bins), which the training chain needs."""
     src_spec = stft(src, cfg)
     src_cep = real_cepstrum(src_spec, cfg)
     tgt_cep = real_cepstrum(stft(tgt, cfg), cfg)
     src_spec = np.hstack([src_spec, src_spec[:, (cfg.fft_len - 1) // 2:0:-1].conj()])
     path = dtw_align(alignment_features(src_cep), alignment_features(tgt_cep))
-    return AlignedPair(src_cep=src_cep[path[:, 0]],
-                       tgt_cep=tgt_cep[path[:, 1]],
-                       src_spec=src_spec[path[:, 0]])
+    return src_cep[path[:, 0]], tgt_cep[path[:, 1]], src_spec[path[:, 0]]

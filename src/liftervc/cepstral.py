@@ -29,15 +29,6 @@ def real_cepstrum(frames: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
     return np.fft.irfft(log_mag, n=cfg.fft_len, axis=-1)[..., :cfg.cep_dim]
 
 
-def minimum_phase_lifter(n_fft: int) -> np.ndarray:
-    """Quefrency weights turning a real cepstrum into the complex cepstrum of
-    a minimum-phase system: 1 at quefrency 0 and n_fft/2, 2 in between, 0 above.
-    """
-    if n_fft < 4 or n_fft % 2:
-        raise ValueError("length must be even and at least 4")
-    return np.concatenate([bin_weights(n_fft), np.zeros(n_fft // 2 - 1)])
-
-
 @dataclass
 class Lifter:
     """Quefrency weighting of length cep_dim; trainable once fine-tuned."""
@@ -54,8 +45,10 @@ class Lifter:
 
     @classmethod
     def minimum_phase(cls, cfg: AnalysisConfig) -> "Lifter":
-        """First cep_dim entries of the minimum-phase lifter for cfg.fft_len."""
-        return cls(minimum_phase_lifter(cfg.fft_len)[:cfg.cep_dim].copy())
+        """First cep_dim entries of the lifter that turns a real cepstrum into
+        the complex cepstrum of a minimum-phase system: 1 at quefrency 0, 2
+        above (cep_dim stops short of fft_len / 2, where it is 1 again)."""
+        return cls(bin_weights(cfg.fft_len)[:cfg.cep_dim].copy())
 
 
 def reconstruct_spectrum(cep: np.ndarray, lifter: np.ndarray,

@@ -18,11 +18,11 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .cepstral import Lifter
 from .config import RunConfig
 from .dataset import TrainingSet, build_dataset
 from .model import AcousticModel, load_model, save_model
-from .runtime import convert, cumulative_power, eval_rmse, power_threshold_tap
+from .runtime import (convert, cumulative_power, eval_rmse, power_threshold_tap,
+                      write_cumulative_power_csv, write_lifter_csv)
 from .training import pretrain_conventional, train_lifter
 from .wavio import wav_read, wav_write
 
@@ -117,11 +117,7 @@ def cmd_train_lifter(args) -> int:
     log_path = out / f"train_lifter_log_l{taps}.csv"
     log.to_csv(log_path)
     lifter_path = out / f"lifter_l{taps}.csv"
-    reference = Lifter.minimum_phase(run.analysis).coeffs
-    with open(lifter_path, "w", newline="") as fh:
-        fh.write("quefrency,trained,minimum_phase\n")
-        for q, (u, m) in enumerate(zip(model.lifter.coeffs, reference)):
-            fh.write(f"{q},{float(u)!r},{float(m)!r}\n")
+    write_lifter_csv(lifter_path, model)
     last = log.rows[-1]
     print(f"fine-tuned at {taps} taps: val rmse {last.rmse:.6f} -> {model_path} "
           f"(log: {log_path}, lifter: {lifter_path})")
@@ -156,10 +152,7 @@ def cmd_cumpow(args) -> int:
     data = _load_eval_data(args.pairs, model)
     curve = cumulative_power(model, data, model.subband)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("tap,cumulative_power\n")
-            for tap, value in enumerate(curve):
-                fh.write(f"{tap},{float(value)!r}\n")
+        write_cumulative_power_csv(args.out, curve)
     tap95 = power_threshold_tap(curve, 0.95)
     print(f"cumulative power reaches 0.95 at tap {tap95} "
           f"(0.99 at tap {power_threshold_tap(curve, 0.99)})"

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .align import AlignedPair, align_pair, trim_silence
+from .align import align_pair, trim_silence
 from .config import AnalysisConfig
 from .spectral import Waveform
 
@@ -64,19 +64,8 @@ class TrainingSet:
         return ts, meta
 
 
-def concat_pairs(pairs: "list[AlignedPair]") -> TrainingSet:
-    if not pairs:
-        raise ValueError("no utterance pairs")
-    offsets = np.cumsum([0] + [len(p) for p in pairs])
-    return TrainingSet(
-        src_cep=np.concatenate([p.src_cep for p in pairs]),
-        tgt_cep=np.concatenate([p.tgt_cep for p in pairs]),
-        src_spec=np.concatenate([p.src_spec for p in pairs]),
-        offsets=offsets)
-
-
 def build_dataset(waves: "list[tuple[Waveform, Waveform]]", cfg: AnalysisConfig,
-                  trim_db: float | None = 40.0) -> TrainingSet:
+                  trim_db: float | None) -> TrainingSet:
     """Trim, analyze, and align each (source, target) waveform pair, then
     pool the frames. trim_db=None skips silence removal (evaluation data)."""
     aligned = []
@@ -85,4 +74,8 @@ def build_dataset(waves: "list[tuple[Waveform, Waveform]]", cfg: AnalysisConfig,
             src = trim_silence(src, cfg, trim_db)
             tgt = trim_silence(tgt, cfg, trim_db)
         aligned.append(align_pair(src, tgt, cfg))
-    return concat_pairs(aligned)
+    if not aligned:
+        raise ValueError("no utterance pairs")
+    src_cep, tgt_cep, src_spec = (np.concatenate(arrs) for arrs in zip(*aligned))
+    return TrainingSet(src_cep, tgt_cep, src_spec,
+                       offsets=np.cumsum([0] + [len(a[0]) for a in aligned]))

@@ -326,6 +326,8 @@ def load_model(path, expected_cfg: AnalysisConfig | None = None) -> AcousticMode
         cfg = AnalysisConfig(**{f.name: doc[f.name]
                                 for f in fields(AnalysisConfig)})
         hidden = tuple(doc["hidden"])
+        if not all(type(h) is int and h > 0 for h in hidden):
+            raise ValueError(f"hidden sizes must be positive ints, got {hidden}")
         sub = doc.get("subband")  # absent in older files: ungated
         gate = None if sub is None else SubbandGate(**sub)
         if gate is not None:
@@ -335,20 +337,26 @@ def load_model(path, expected_cfg: AnalysisConfig | None = None) -> AcousticMode
     if expected_cfg is not None and cfg != expected_cfg:
         raise ModelFileError(
             f"model analysis config {cfg} does not match expected {expected_cfg}")
+    # Size the file by its config before allocating anything: per GLU layer
+    # two branches of weights, bias and four batch-norm vectors, around them
+    # four normalization vectors, the lifter and the output projection.
+    dims = (cfg.cep_dim,) + hidden
+    n_params = (6 * cfg.cep_dim + cfg.cep_dim * dims[-1]
+                + sum(2 * n_out * (n_in + 5) for n_in, n_out in zip(dims, dims[1:])))
+    offset += blob_len
+    expected = offset + 8 * n_params
+    if len(data) != expected:
+        problem = "truncated" if len(data) < expected else "trailing bytes"
+        raise ModelFileError(f"corrupt model file ({problem}: {len(data)} "
+                             f"bytes, its config implies {expected})")
 
     model = AcousticModel(cfg, hidden=hidden, seed=0)
     model.lifter.trainable = bool(doc.get("lifter_trainable", False))
     model.subband = gate
-    offset += blob_len
     for name, arr in model.param_entries():
-        nbytes = arr.size * 8
-        if offset + nbytes > len(data):
-            raise ModelFileError(f"corrupt model file (truncated at {name})")
         values = np.frombuffer(data, dtype="<f8", count=arr.size, offset=offset)
         if not np.isfinite(values).all():
             raise ModelFileError(f"corrupt model file (non-finite {name})")
         arr[...] = values.reshape(arr.shape)
-        offset += nbytes
-    if offset != len(data):
-        raise ModelFileError("corrupt model file (trailing bytes)")
+        offset += values.nbytes
     return model

@@ -7,13 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cepstral import real_cepstrum
+from .cepstral import Lifter, real_cepstrum
 from .config import SubbandGate
 from .dataset import TrainingSet
 from .filters import conversion_filters
 from .model import AcousticModel
 from .spectral import Waveform, ola_filter, stft
 from .training import frame_losses
+from .wavio import write_csv
 
 log = logging.getLogger(__name__)
 
@@ -55,11 +56,8 @@ class MetricsReport:
     n_frames: int
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("utterance,rmse\n")
-            for u, r in enumerate(self.per_utterance):
-                fh.write(f"{u},{float(r)!r}\n")
-            fh.write(f"all,{self.rmse!r}\n")
+        write_csv(path, "utterance,rmse",
+                  [*enumerate(self.per_utterance), ("all", self.rmse)])
 
 
 def eval_rmse(model: AcousticModel, data: TrainingSet, taps: int,
@@ -100,6 +98,17 @@ def cumulative_power(model: AcousticModel, data: TrainingSet,
         cum = np.cumsum(power, axis=1)
         total += (cum / cum[:, -1:]).sum(axis=0)
     return total / len(data)
+
+
+def write_cumulative_power_csv(path, curve: np.ndarray) -> None:
+    write_csv(path, "tap,cumulative_power", enumerate(curve))
+
+
+def write_lifter_csv(path, model: AcousticModel) -> None:
+    """The model's lifter beside the minimum-phase one training starts from."""
+    reference = Lifter.minimum_phase(model.cfg).coeffs
+    write_csv(path, "quefrency,trained,minimum_phase",
+              zip(range(len(reference)), model.lifter.coeffs, reference))
 
 
 def power_threshold_tap(curve: np.ndarray, fraction: float = 0.95) -> int:

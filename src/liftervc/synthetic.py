@@ -25,6 +25,7 @@ from .model import AcousticModel
 from .runtime import eval_rmse
 from .spectral import Waveform
 from .training import TrainLog, pretrain_conventional, train_lifter
+from .wavio import write_csv
 
 log = logging.getLogger(__name__)
 
@@ -192,13 +193,10 @@ class SweepResult:
         return self.fixed_rmse[taps] - self.trained_rmse[taps]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("taps,fixed_rmse,trained_rmse,gap\n")
-            for l in self.taps:
-                fh.write(f"{l},{self.fixed_rmse[l]!r},{self.trained_rmse[l]!r},"
-                         f"{self.gap(l)!r}\n")
-            full = self.pretrained.cfg.fft_len
-            fh.write(f"{full},{self.baseline_rmse!r},,\n")
+        rows = [(l, self.fixed_rmse[l], self.trained_rmse[l], self.gap(l))
+                for l in self.taps]
+        rows.append((self.pretrained.cfg.fft_len, self.baseline_rmse, "", ""))
+        write_csv(path, "taps,fixed_rmse,trained_rmse,gap", rows)
 
 
 def build_sweep_data(cfg: AnalysisConfig, n_train: int, n_val: int,

@@ -11,6 +11,7 @@ from .chain import backward_chain, forward_chain
 from .config import SubbandGate, TrainConfig
 from .dataset import TrainingSet
 from .model import AcousticModel, Adam
+from .wavio import write_csv
 
 STD_FLOOR = 1e-8
 
@@ -30,25 +31,13 @@ class TrainLog:
 
     rows: list = field(default_factory=list)
 
-    columns = ("epoch", "train_loss", "val_loss", "rmse", "wall_time_s")
-
     def append(self, row: EpochRow) -> None:
         self.rows.append(row)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for r in self.rows:
-                fh.write(f"{r.epoch},{r.train_loss!r},{r.val_loss!r},"
-                         f"{r.rmse!r},{r.wall_time_s:.3f}\n")
-
-    def loss_log_bytes(self) -> bytes:
-        """The log without the wall-clock column, whose timings vary from run
-        to run; everything else is reproducible bit for bit."""
-        lines = ["epoch,train_loss,val_loss,rmse"]
-        lines += [f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.rmse!r}"
-                  for r in self.rows]
-        return ("\n".join(lines) + "\n").encode()
+        write_csv(path, "epoch,train_loss,val_loss,rmse,wall_time_s",
+                  ((r.epoch, r.train_loss, r.val_loss, r.rmse,
+                    f"{r.wall_time_s:.3f}") for r in self.rows))
 
 
 def set_normalization(model: AcousticModel, data: TrainingSet) -> None:

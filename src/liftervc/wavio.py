@@ -1,4 +1,5 @@
-"""WAV file I/O for PCM 16-bit mono audio at 16 kHz or 48 kHz."""
+"""WAV file I/O for PCM 16-bit mono audio at 16 kHz or 48 kHz, and the CSV
+writer every tabular artifact goes through."""
 
 from __future__ import annotations
 
@@ -51,3 +52,13 @@ def wav_write(path, wav: Waveform) -> None:
         fh.setsampwidth(2)
         fh.setframerate(wav.sample_rate)
         fh.writeframes(ints.tobytes())
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write a header line, then one comma-separated line per row. Floats are
+    written by repr, so they read back bit for bit; other values by str."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")

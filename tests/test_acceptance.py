@@ -23,6 +23,7 @@ from liftervc.spectral import frame_count
 from liftervc.synthetic import build_sweep_data
 
 from naive import full_spectrum, naive_chain_loss
+from test_training import written_losses
 
 SWEEP_TAPS = (32, 48, 64, 128)
 
@@ -339,8 +340,10 @@ def test_determinism(capsys, tmp_path):
 
     m1, pre1, ft1 = one_run()
     m2, pre2, ft2 = one_run()
-    logs_equal = (pre1.loss_log_bytes() == pre2.loss_log_bytes()
-                  and ft1.loss_log_bytes() == ft2.loss_log_bytes())
+    logs_equal = all(
+        written_losses(a, tmp_path / f"{name}1.csv")
+        == written_losses(b, tmp_path / f"{name}2.csv")
+        for name, a, b in (("pre", pre1, pre2), ("ft", ft1, ft2)))
     params_equal = all(
         a.tobytes() == b.tobytes()
         for (_, a), (_, b) in zip(m1.param_entries(), m2.param_entries()))

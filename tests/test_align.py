@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftervc import AnalysisConfig, Waveform, align_pair, dtw_align, trim_silence
-from liftervc.align import AlignedPair, alignment_features
+from liftervc import (AnalysisConfig, TrainingSet, Waveform, align_pair, dtw_align,
+                      trim_silence)
+from liftervc.align import alignment_features
 
 from naive import brute_force_dtw_cost, dtw_cost
 
@@ -20,7 +21,7 @@ def test_trim_keeps_loud_blocks(small_cfg):
 
 def test_trim_keeps_everything_within_threshold(small_cfg):
     wave = Waveform(np.full(small_cfg.hop * 3, 0.2), 16000)
-    out = trim_silence(wave, small_cfg)
+    out = trim_silence(wave, small_cfg, threshold_db=40.0)
     assert np.array_equal(out.samples, wave.samples)
 
 
@@ -34,9 +35,9 @@ def test_trim_partial_last_block_uses_true_rms(small_cfg):
 
 def test_trim_rejects_silence(small_cfg):
     with pytest.raises(ValueError):
-        trim_silence(Waveform(np.zeros(400), 16000), small_cfg)
+        trim_silence(Waveform(np.zeros(400), 16000), small_cfg, 40.0)
     with pytest.raises(ValueError):
-        trim_silence(Waveform(np.zeros(0), 16000), small_cfg)
+        trim_silence(Waveform(np.zeros(0), 16000), small_cfg, 40.0)
 
 
 def test_alignment_features_drop_energy_and_zscore(rng):
@@ -100,10 +101,12 @@ def test_dtw_optimality_property(seed, ts, tt):
                       brute_force_dtw_cost(src, tgt), rtol=1e-12)
 
 
-def test_aligned_pair_validates_lengths(rng):
-    with pytest.raises(ValueError):
-        AlignedPair(src_cep=np.zeros((3, 4)), tgt_cep=np.zeros((2, 4)),
-                    src_spec=np.zeros((3, 8), dtype=complex))
+def test_aligned_pair_validates_lengths():
+    """Aligned frames are held by TrainingSet, which rejects frame arrays of
+    unequal length."""
+    with pytest.raises(ValueError, match="equal length"):
+        TrainingSet(np.zeros((3, 4)), np.zeros((2, 4)),
+                    np.zeros((3, 8), dtype=complex))
 
 
 def test_align_pair_time_shift(small_cfg, rng):
@@ -113,17 +116,18 @@ def test_align_pair_time_shift(small_cfg, rng):
     pad = np.zeros(small_cfg.hop * 3)
     src = Waveform(np.concatenate([burst, pad]), small_cfg.sample_rate)
     tgt = Waveform(np.concatenate([pad, burst]), small_cfg.sample_rate)
-    pair = align_pair(src, tgt, small_cfg)
-    assert len(pair) >= max(len(src), len(tgt)) // small_cfg.hop
-    assert pair.src_cep.shape[1] == small_cfg.cep_dim
-    assert pair.src_spec.shape[1] == small_cfg.fft_len
+    src_cep, tgt_cep, src_spec = align_pair(src, tgt, small_cfg)
+    assert len(src_cep) == len(tgt_cep) == len(src_spec)
+    assert len(src_cep) >= max(len(src), len(tgt)) // small_cfg.hop
+    assert src_cep.shape[1] == small_cfg.cep_dim
+    assert src_spec.shape[1] == small_cfg.fft_len
     # the warped sequences should be closer than an unwarped pairing
     n = min(stft_len_frames(src, small_cfg), stft_len_frames(tgt, small_cfg))
     from liftervc import real_cepstrum, stft
     cs = real_cepstrum(stft(src, small_cfg), small_cfg)
     ct = real_cepstrum(stft(tgt, small_cfg), small_cfg)
     unwarped = np.abs(cs[:n, 1:] - ct[:n, 1:]).mean()
-    warped = np.abs(pair.src_cep[:, 1:] - pair.tgt_cep[:, 1:]).mean()
+    warped = np.abs(src_cep[:, 1:] - tgt_cep[:, 1:]).mean()
     assert warped < unwarped
 
 

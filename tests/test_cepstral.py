@@ -3,21 +3,16 @@ import pytest
 
 from liftervc import (AnalysisConfig, Lifter, Waveform, real_cepstrum,
                       reconstruct_spectrum, stft)
-from liftervc.cepstral import MAG_FLOOR, minimum_phase_lifter
+from liftervc.cepstral import MAG_FLOOR
 
 from naive import full_spectrum, naive_real_cepstrum, naive_stft
 
 
 def test_minimum_phase_lifter_values():
-    u = minimum_phase_lifter(8)
-    assert np.array_equal(u, [1, 2, 2, 2, 1, 0, 0, 0])
-
-
-def test_minimum_phase_lifter_rejects_odd_or_short():
-    with pytest.raises(ValueError):
-        minimum_phase_lifter(7)
-    with pytest.raises(ValueError):
-        minimum_phase_lifter(2)
+    cfg = AnalysisConfig(window_len=8, hop=4, fft_len=8, cep_dim=4)
+    u = Lifter.minimum_phase(cfg).coeffs
+    assert u.dtype == np.float64
+    assert np.array_equal(u, [1, 2, 2, 2])
 
 
 def test_lifter_for_config_truncates(small_cfg):

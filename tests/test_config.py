@@ -34,6 +34,8 @@ def test_analysis_config_validation():
         AnalysisConfig(hop=0)
     with pytest.raises(ValueError, match="fft_len"):
         AnalysisConfig(window_len=48, hop=16, fft_len=63, cep_dim=8)
+    with pytest.raises(ValueError, match="fft_len"):
+        AnalysisConfig(window_len=2, hop=1, fft_len=2, cep_dim=1)
 
 
 def test_train_config_validation():

@@ -247,6 +247,8 @@ def test_load_without_subband_key_is_ungated(small_cfg, tmp_path):
     ({"subband": {"crossover_hz": "3000", "steepness_hz": 200.0}},
      "SubbandGate.crossover_hz"),
     ({"fft_len": 64.0}, "AnalysisConfig.fft_len"),
+    ({"hidden": [4, 0]}, "positive ints"),
+    ({"hidden": [4, True]}, "positive ints"),
 ])
 def test_load_rejects_bad_config_values(small_cfg, tmp_path, changes, match):
     path = tmp_path / "m.lvc"
@@ -281,11 +283,28 @@ def test_load_rejects_truncated_and_trailing(small_cfg, tmp_path):
     save_model(AcousticModel(small_cfg, hidden=(4, 3)), path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(ModelFileError):
+    with pytest.raises(ModelFileError, match="truncated"):
         load_model(path)
     path.write_bytes(raw + b"\x00" * 8)
-    with pytest.raises(ModelFileError):
+    with pytest.raises(ModelFileError, match="trailing bytes"):
         load_model(path)
+
+
+def test_load_sizes_the_file_before_allocating(small_cfg, tmp_path,
+                                               monkeypatch):
+    """A config block that claims huge layers is refused by the file size
+    alone: the model, and so its (here about 8 TB of) parameters, is never
+    constructed."""
+    path = tmp_path / "m.lvc"
+    save_model(AcousticModel(small_cfg, hidden=(4, 3)), path)
+    edit_config_block(path, lambda doc: doc.update(hidden=[1000000, 1000000]))
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("model constructed before the size check")
+    monkeypatch.setattr("liftervc.model.AcousticModel", no_model)
+    with pytest.raises(ModelFileError, match="truncated") as err:
+        load_model(path)
+    assert "\n" not in str(err.value)
 
 
 def test_load_checks_expected_config(small_cfg, cfg16, tmp_path):
