@@ -3,8 +3,7 @@ truncation-aware lifter and optional sub-band gating."""
 
 from .align import align_pair, dtw_align, trim_silence
 from .cepstral import MAG_FLOOR, Lifter, real_cepstrum, reconstruct_spectrum
-from .chain import (ChainResult, backward_chain, chain_backward, chain_forward,
-                    forward_chain)
+from .chain import ChainResult, chain_backward, chain_forward
 from .config import AnalysisConfig, RunConfig, SubbandGate, TrainConfig
 from .dataset import TrainingSet, build_dataset
 from .filters import (conversion_filters, design_filter, design_filter_adjoint,
@@ -27,10 +26,10 @@ __all__ = [
     "AcousticModel", "Adam", "AnalysisConfig", "ChainResult",
     "Lifter", "MAG_FLOOR", "MetricsReport", "ModelFileError", "RunConfig",
     "SubbandGate", "SweepResult", "TrainConfig", "TrainingSet", "TrainLog",
-    "Waveform", "align_pair", "backward_chain", "build_dataset",
+    "Waveform", "align_pair", "build_dataset",
     "chain_backward", "chain_forward", "constant_model", "conversion_filters",
     "convert", "cumulative_power", "default_differential", "design_filter",
-    "design_filter_adjoint", "dtw_align", "eval_rmse", "forward_chain",
+    "design_filter_adjoint", "dtw_align", "eval_rmse",
     "frame_losses", "gate_weights", "load_model", "make_corpus", "make_pair",
     "ola_filter", "power_threshold_tap",
     "pretrain_conventional", "real_cepstrum", "reconstruct_spectrum",

@@ -2,7 +2,8 @@
 
 Training needs the cepstral loss of the speech a truncated differential
 filter would actually produce, and gradients of that loss with respect to
-the acoustic model and the lifter. The forward pass mirrors conversion
+the differential cepstra and the lifter; training.chain_gradients carries
+them on into the acoustic model. The forward pass mirrors conversion
 frame by frame:
 
     differential cepstrum -> lifter product -> zero-pad -> rfft -> exp
@@ -35,14 +36,18 @@ import numpy as np
 from .cepstral import MAG_FLOOR, real_cepstrum, reconstruct_spectrum
 from .config import AnalysisConfig, SubbandGate
 from .filters import design_filter, design_filter_adjoint
-from .model import AcousticModel
 from .spectral import bin_weights
 
 
 @dataclass
-class ChainCache:
-    """Forward-pass intermediates needed by chain_backward."""
+class ChainResult:
+    """One forward pass over a batch of frames: the estimated target
+    cepstra, per-frame squared errors and their mean (the loss), and the
+    intermediates chain_backward reads."""
 
+    cep_y: np.ndarray
+    frame_losses: np.ndarray
+    loss: float
     cep_d: np.ndarray
     lifter: np.ndarray
     spec_x: np.ndarray
@@ -53,27 +58,14 @@ class ChainCache:
     gate: SubbandGate | None
 
 
-@dataclass
-class ChainResult:
-    """Output of one forward pass over a batch of frames."""
-
-    cep_y: np.ndarray
-    frame_losses: np.ndarray
-    loss: float
-    cache: object = None
-
-
 def chain_forward(cep_d: np.ndarray, lifter: np.ndarray, spec_x: np.ndarray,
                   tgt_cep: np.ndarray, taps: int, cfg: AnalysisConfig,
-                  gate: SubbandGate | None = None,
-                  keep_cache: bool = False) -> ChainResult:
+                  gate: SubbandGate | None = None) -> ChainResult:
     """Loss of the truncated differential filter built from cep_d.
 
     cep_d: (B, c) differential cepstra. lifter: (c,). spec_x: (B, fft_len)
     full or (B, fft_len // 2 + 1) half complex source spectra; only the half
     is read. tgt_cep: (B, c) target cepstra. taps: truncation length l.
-    Returns the estimated target cepstra, per-frame squared errors, and
-    their mean (the loss).
     """
     cep_d = np.atleast_2d(np.asarray(cep_d, dtype=np.float64))
     tgt_cep = np.atleast_2d(np.asarray(tgt_cep, dtype=np.float64))
@@ -89,17 +81,13 @@ def chain_forward(cep_d: np.ndarray, lifter: np.ndarray, spec_x: np.ndarray,
     cep_y = real_cepstrum(spec_y, cfg)
     err = cep_y - tgt_cep
     frame_losses = (err * err).sum(axis=1)
-
-    cache = None
-    if keep_cache:
-        cache = ChainCache(cep_d=cep_d, lifter=lifter, spec_x=spec_x,
-                           spec_d=spec_d, spec_y=spec_y, err=err,
-                           taps=taps, gate=gate)
     return ChainResult(cep_y=cep_y, frame_losses=frame_losses,
-                       loss=float(frame_losses.mean()), cache=cache)
+                       loss=float(frame_losses.mean()), cep_d=cep_d,
+                       lifter=lifter, spec_x=spec_x, spec_d=spec_d,
+                       spec_y=spec_y, err=err, taps=taps, gate=gate)
 
 
-def chain_backward(cache: ChainCache, cfg: AnalysisConfig):
+def chain_backward(result: ChainResult, cfg: AnalysisConfig):
     """Gradients of the mean frame loss w.r.t. cep_d and the lifter.
 
     Returns (g_cep_d, g_lifter) with shapes (B, c) and (c,).
@@ -107,46 +95,17 @@ def chain_backward(cache: ChainCache, cfg: AnalysisConfig):
     n, c = cfg.fft_len, cfg.cep_dim
     w = bin_weights(n)
     # Estimated cepstrum = irfft(log-magnitude)[:c]; the log-magnitude is real.
-    g_logmag = np.fft.rfft((2.0 / len(cache.err)) * cache.err, n).real * (w / n)
+    g_logmag = np.fft.rfft((2.0 / len(result.err)) * result.err, n).real * (w / n)
     # The floored magnitude, not the raw one: below the floor the raw value
     # may be 0, and np.where evaluates the division before it selects.
-    mag = np.maximum(np.abs(cache.spec_y), MAG_FLOOR)
+    mag = np.maximum(np.abs(result.spec_y), MAG_FLOOR)
     g_spec_y = np.where(mag > MAG_FLOOR, g_logmag / (mag * mag),
-                        0.0) * cache.spec_y
-    g_spec_l = np.conj(cache.spec_x) * g_spec_y
-    g_f_l = np.fft.irfft(g_spec_l / w, n)[:, :cache.taps] * n
-    g_spec_d = design_filter_adjoint(g_f_l, cfg, cache.gate)
-    g_log_spec = np.conj(cache.spec_d) * g_spec_d
+                        0.0) * result.spec_y
+    g_spec_l = np.conj(result.spec_x) * g_spec_y
+    g_f_l = np.fft.irfft(g_spec_l / w, n)[:, :result.taps] * n
+    g_spec_d = design_filter_adjoint(g_f_l, cfg, result.gate)
+    g_log_spec = np.conj(result.spec_d) * g_spec_d
     g_liftered = np.fft.irfft(g_log_spec / w, n)[:, :c] * n
-    g_cep_d = g_liftered * cache.lifter
-    g_lifter = (g_liftered * cache.cep_d).sum(axis=0)
+    g_cep_d = g_liftered * result.lifter
+    g_lifter = (g_liftered * result.cep_d).sum(axis=0)
     return g_cep_d, g_lifter
-
-
-def forward_chain(model: AcousticModel, cep_x: np.ndarray, spec_x: np.ndarray,
-                  tgt_cep: np.ndarray, taps: int,
-                  gate: SubbandGate | None = None, train: bool = False,
-                  update_stats: bool | None = None,
-                  keep_cache: bool = False) -> ChainResult:
-    """Model-in-the-loop forward pass: estimate differential cepstra from the
-    source cepstra, then run the truncation chain with the model's lifter."""
-    cep_d, model_cache = model.forward(cep_x, train=train,
-                                       update_stats=update_stats,
-                                       return_cache=True)
-    result = chain_forward(cep_d, model.lifter.coeffs, spec_x, tgt_cep, taps,
-                           model.cfg, gate=gate, keep_cache=keep_cache)
-    if keep_cache:
-        result.cache = (result.cache, model_cache)
-    return result
-
-
-def backward_chain(model: AcousticModel, result: ChainResult) -> dict:
-    """Gradients of the mean frame loss w.r.t. every model parameter and the
-    lifter, keyed by the model's parameter names plus "lifter"."""
-    if result.cache is None:
-        raise ValueError("forward pass was run without keep_cache")
-    chain_cache, model_cache = result.cache
-    g_cep_d, g_lifter = chain_backward(chain_cache, model.cfg)
-    grads, _ = model.backward(model_cache, g_cep_d)
-    grads["lifter"] = g_lifter
-    return grads

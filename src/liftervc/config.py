@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -13,12 +14,16 @@ _TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 def _check_types(obj) -> None:
     """Each int, float or str field holds its declared type: an int, an int
-    or float, or a str. A bool is never a number."""
+    or float, or a str. A bool is never a number, and a float field is
+    never NaN or infinite (JSON readers accept both)."""
     for f in (f for f in fields(obj) if f.type in _TYPES):
         value = getattr(obj, f.name)
         if isinstance(value, bool) or not isinstance(value, _TYPES[f.type]):
             raise TypeError(f"{type(obj).__name__}.{f.name} must be {f.type}, "
                             f"got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{type(obj).__name__}.{f.name} must be finite, "
+                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         _check_types(self)
+        if self.silence_threshold_db <= 0:
+            raise ValueError("RunConfig.silence_threshold_db must be positive, "
+                             f"got {self.silence_threshold_db!r}")
         if self.train.taps > self.analysis.fft_len:
             raise ValueError("taps must not exceed fft_len")
         if self.subband is not None:

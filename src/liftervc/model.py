@@ -37,6 +37,9 @@ from .config import AnalysisConfig, SubbandGate
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+ADAM_DECAY_M = 0.9  # first-moment (mean) decay
+ADAM_DECAY_V = 0.999  # second-moment (uncentred variance) decay
+ADAM_EPS = 1e-8
 MAGIC = b"LVCMODEL"
 FORMAT_VERSION = 1
 
@@ -61,13 +64,12 @@ class BatchNorm:
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def forward(self, x, train: bool, update_stats: bool):
+    def forward(self, x, train: bool):
         if train:
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            if update_stats:
-                self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
-                self.running_var += BN_MOMENTUM * (var - self.running_var)
+            self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+            self.running_var += BN_MOMENTUM * (var - self.running_var)
         else:
             mean = self.running_mean
             var = self.running_var
@@ -101,11 +103,11 @@ class GluLayer:
         self.bn_value = BatchNorm(out_dim)
         self.bn_gate = BatchNorm(out_dim)
 
-    def forward(self, x, train: bool, update_stats: bool):
+    def forward(self, x, train: bool):
         pre_v = x @ self.w_value.T + self.b_value
         pre_g = x @ self.w_gate.T + self.b_gate
-        norm_v, cache_v = self.bn_value.forward(pre_v, train, update_stats)
-        norm_g, cache_g = self.bn_gate.forward(pre_g, train, update_stats)
+        norm_v, cache_v = self.bn_value.forward(pre_v, train)
+        norm_g, cache_g = self.bn_gate.forward(pre_g, train)
         value = np.tanh(norm_v)
         gate = sigmoid(norm_g)
         return value * gate, (x, cache_v, cache_g, value, gate)
@@ -153,16 +155,13 @@ class AcousticModel:
 
     # -- inference / training math -------------------------------------------
 
-    def forward(self, cep, train: bool = False, update_stats: bool | None = None,
-                return_cache: bool = False):
+    def forward(self, cep, train: bool = False, return_cache: bool = False):
         """Map source cepstra (B, c) or (c,) to differential cepstra.
 
-        train selects batch statistics for batch norm (and, unless
-        update_stats=False, folds them into the running statistics); otherwise
-        the stored running statistics are used and rows are independent.
+        train selects batch statistics for batch norm and folds them into the
+        running statistics; otherwise the stored running statistics are used
+        and rows are independent.
         """
-        if update_stats is None:
-            update_stats = train
         cep = np.asarray(cep, dtype=np.float64)
         single = cep.ndim == 1
         x = cep[None, :] if single else cep
@@ -172,7 +171,7 @@ class AcousticModel:
         caches = []
         h = xn
         for layer in self.layers:
-            h, cache = layer.forward(h, train, update_stats)
+            h, cache = layer.forward(h, train)
             caches.append(cache)
         y = h @ self.w_out.T + self.b_out
         out = y * self.out_std + self.out_mean
@@ -181,8 +180,8 @@ class AcousticModel:
         return (out[0] if single else out), (caches, h)
 
     def backward(self, cache, gout):
-        """Gradients of a scalar loss w.r.t. all trainable parameters and the
-        input, given the loss gradient w.r.t. the de-normalized output."""
+        """Gradients of a scalar loss w.r.t. all trainable parameters, given
+        the loss gradient w.r.t. the de-normalized output."""
         caches, h_last = cache
         gout = np.atleast_2d(np.asarray(gout, dtype=np.float64))
         gy = gout * self.out_std
@@ -192,8 +191,7 @@ class AcousticModel:
             gh, layer_grads = self.layers[i].backward(caches[i], gh)
             for name, g in layer_grads.items():
                 grads[f"layers.{i}.{name}"] = g
-        gx = gh / self.in_std
-        return grads, gx
+        return grads
 
     # -- parameter bookkeeping -------------------------------------------------
 
@@ -253,15 +251,12 @@ def constant_model(cfg: AnalysisConfig, cep_d: np.ndarray,
 
 
 class Adam:
-    """Bias-corrected Adam over a list of parameter arrays, updated in place."""
+    """Bias-corrected Adam over a list of parameter arrays, updated in place,
+    with the customary decay rates and denominator guard."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
@@ -274,14 +269,14 @@ class Adam:
             if np.shape(g) != p.shape:
                 raise ValueError(f"gradient shape {np.shape(g)} != param shape {p.shape}")
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
+        correct1 = 1.0 - ADAM_DECAY_M ** self.t
+        correct2 = 1.0 - ADAM_DECAY_V ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            m *= ADAM_DECAY_M
+            m += (1.0 - ADAM_DECAY_M) * g
+            v *= ADAM_DECAY_V
+            v += (1.0 - ADAM_DECAY_V) * g * g
+            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
 # -- serialization ---------------------------------------------------------

@@ -17,6 +17,7 @@ from .training import frame_losses
 from .wavio import write_csv
 
 log = logging.getLogger(__name__)
+CUMPOW_BATCH = 512  # frames per full-length design batch in cumulative_power
 
 
 def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
@@ -75,8 +76,7 @@ def eval_rmse(model: AcousticModel, data: TrainingSet, taps: int,
 
 
 def cumulative_power(model: AcousticModel, data: TrainingSet,
-                     gate: SubbandGate | None = None,
-                     batch_size: int = 512) -> np.ndarray:
+                     gate: SubbandGate | None = None) -> np.ndarray:
     """Average normalized cumulative energy of the full-length differential
     filters the model designs for an evaluation set.
 
@@ -89,8 +89,8 @@ def cumulative_power(model: AcousticModel, data: TrainingSet,
         raise ValueError("empty evaluation set")
     cfg = model.cfg
     total = np.zeros(cfg.fft_len)
-    for a in range(0, len(data), batch_size):
-        cep_d = model.forward(data.src_cep[a:a + batch_size])
+    for a in range(0, len(data), CUMPOW_BATCH):
+        cep_d = model.forward(data.src_cep[a:a + CUMPOW_BATCH])
         filters, delay = conversion_filters(cep_d, model.lifter.coeffs, cfg,
                                             cfg.fft_len, gate)
         filters = np.roll(filters, -delay, axis=1)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import backward_chain, forward_chain
+from .chain import ChainResult, chain_backward, chain_forward
 from .config import SubbandGate, TrainConfig
 from .dataset import TrainingSet
 from .model import AcousticModel, Adam
@@ -71,9 +71,25 @@ def frame_losses(model: AcousticModel, data: TrainingSet,
             err = x + model.forward(x) - tgt
             losses[rows] = (err * err).sum(axis=1)
         else:
-            losses[rows] = forward_chain(model, x, data.src_spec[rows], tgt,
-                                         taps, gate=gate).frame_losses
+            losses[rows] = chain_forward(
+                model.forward(x), model.lifter.coeffs, data.src_spec[rows],
+                tgt, taps, model.cfg, gate=gate).frame_losses
     return losses
+
+
+def chain_gradients(model: AcousticModel, cep_x: np.ndarray, spec_x: np.ndarray,
+                    tgt_cep: np.ndarray, taps: int,
+                    gate: SubbandGate | None = None) -> tuple[ChainResult, dict]:
+    """The model-in-the-loop training pass: the network's training-mode
+    forward, the chain with the model's lifter, both backward. Returns the
+    chain result and gradients keyed like trainable_entries(True)."""
+    cep_d, model_cache = model.forward(cep_x, train=True, return_cache=True)
+    result = chain_forward(cep_d, model.lifter.coeffs, spec_x, tgt_cep, taps,
+                           model.cfg, gate=gate)
+    g_cep_d, g_lifter = chain_backward(result, model.cfg)
+    grads = model.backward(model_cache, g_cep_d)
+    grads["lifter"] = g_lifter
+    return result, grads
 
 
 def _batches(n_frames: int, batch_size: int, rng: np.random.Generator):
@@ -124,7 +140,7 @@ def pretrain_conventional(model: AcousticModel, data: TrainingSet,
         xb = data.src_cep[idx]
         cep_d, cache = model.forward(xb, train=True, return_cache=True)
         err = xb + cep_d - data.tgt_cep[idx]
-        grads, _ = model.backward(cache, (2.0 / len(idx)) * err)
+        grads = model.backward(cache, (2.0 / len(idx)) * err)
         return float((err * err).sum()), grads
 
     return _run_epochs(data, val_data, cfg, model.trainable_entries(),
@@ -144,11 +160,10 @@ def train_lifter(model: AcousticModel, data: TrainingSet, cfg: TrainConfig,
     The reported rmse is the root of the validation chain loss at cfg.taps.
     """
     def step(idx):
-        result = forward_chain(
-            model, data.src_cep[idx], data.src_spec[idx],
-            data.tgt_cep[idx], cfg.taps, gate=gate, train=True,
-            keep_cache=True)
-        return float(result.frame_losses.sum()), backward_chain(model, result)
+        result, grads = chain_gradients(
+            model, data.src_cep[idx], data.src_spec[idx], data.tgt_cep[idx],
+            cfg.taps, gate=gate)
+        return float(result.frame_losses.sum()), grads
 
     log = _run_epochs(
         data, val_data, cfg, model.trainable_entries(include_lifter=True),

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from liftervc import (AcousticModel, AnalysisConfig, SubbandGate, TrainConfig,
-                      Waveform, backward_chain, chain_forward, constant_model,
+                      TrainingSet, Waveform, chain_forward, constant_model,
                       convert, cumulative_power, default_differential,
-                      forward_chain, load_model, ola_filter,
+                      frame_losses, load_model, ola_filter,
                       power_threshold_tap, pretrain_conventional,
                       real_cepstrum, run_tap_sweep, save_model, spectral, stft,
                       train_lifter)
 from liftervc.spectral import frame_count
+from liftervc.training import chain_gradients
 from liftervc.synthetic import build_sweep_data
 
 from naive import full_spectrum, naive_chain_loss
@@ -92,12 +93,11 @@ def test_gradient_fidelity(capsys):
         saved = [p.copy() for p in params]
 
         def loss():
-            return forward_chain(model, cep_x, spec_x, tgt, taps, gate=gate,
-                                 train=True, update_stats=False).loss
+            return chain_forward(model.forward(cep_x, train=True),
+                                 model.lifter.coeffs, spec_x, tgt, taps, cfg,
+                                 gate=gate).loss
 
-        res = forward_chain(model, cep_x, spec_x, tgt, taps, gate=gate,
-                            train=True, update_stats=False, keep_cache=True)
-        grads = backward_chain(model, res)
+        _, grads = chain_gradients(model, cep_x, spec_x, tgt, taps, gate=gate)
         gvec = np.concatenate([grads[name].reshape(-1) for name, _ in entries])
 
         def shift(vec, scale):
@@ -166,8 +166,9 @@ def test_naive_oracle_equivalence(capsys):
                                 spec_x, tgt, taps, cfg, gate=gate).loss
             cep_d = model.forward(cep_x)
         else:
-            res = forward_chain(model, cep_x, spec_x, tgt, taps, gate=gate)
-            got, cep_d = res.loss, model.forward(cep_x)
+            got = frame_losses(model, TrainingSet(cep_x, tgt, spec_x), taps,
+                               gate).mean()
+            cep_d = model.forward(cep_x)
         want = naive_chain_loss(cep_d, model.lifter.coeffs, spec_x, tgt,
                                 taps, cfg, gate=gate)
         worst = max(worst, abs(got - want))
@@ -182,11 +183,11 @@ def test_naive_oracle_equivalence(capsys):
     model = constant_model(cfg, default_differential(cfg))
     cep_x = real_cepstrum(spec_x, cfg)
     for taps in (32, cfg.fft_len):
-        res = forward_chain(model, cep_x, spec_x, tgt, taps)
+        got = frame_losses(model, TrainingSet(cep_x, tgt, spec_x), taps).mean()
         want = naive_chain_loss(model.forward(cep_x), model.lifter.coeffs,
                                 full_spectrum(spec_x, cfg.fft_len), tgt, taps,
                                 cfg)
-        worst = max(worst, abs(res.loss - want))
+        worst = max(worst, abs(got - want))
 
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8

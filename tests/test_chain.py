@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from liftervc import (AcousticModel, AnalysisConfig, Lifter, SubbandGate,
-                      Waveform, backward_chain, chain_backward, chain_forward,
-                      forward_chain, real_cepstrum, stft)
+                      Waveform, chain_backward, chain_forward, real_cepstrum,
+                      stft)
+from liftervc.training import chain_gradients
 
 from naive import full_spectrum, naive_chain_loss
 
@@ -115,8 +116,8 @@ def test_chain_backward_matches_finite_differences(small_cfg, rng, taps, gate):
                              gate=gate).loss
 
     res = chain_forward(cep_d, lifter, spec_x, tgt, taps, small_cfg,
-                        gate=gate, keep_cache=True)
-    g_cep, g_lift = chain_backward(res.cache, small_cfg)
+                        gate=gate)
+    g_cep, g_lift = chain_backward(res, small_cfg)
     eps = 1e-6
     fd_cep = fd_gradients(loss, cep_d, eps)
     fd_lift = fd_gradients(loss, lifter, eps)
@@ -124,9 +125,12 @@ def test_chain_backward_matches_finite_differences(small_cfg, rng, taps, gate):
     assert np.allclose(g_lift, fd_lift, rtol=1e-5, atol=1e-8)
 
 
-def test_model_in_the_loop_gradients(small_cfg, rng):
+@pytest.mark.parametrize("gate", [None, SubbandGate(crossover_hz=2500.0,
+                                                    steepness_hz=300.0)])
+def test_model_in_the_loop_gradients(small_cfg, rng, gate):
     """End-to-end: loss gradients w.r.t. model weights and lifter through the
-    whole estimate-design-truncate-reanalyze chain."""
+    whole estimate-design-truncate-reanalyze chain, against finite
+    differences of the same training-mode composition."""
     model = AcousticModel(small_cfg, hidden=(5, 4), seed=2)
     model.out_std[:] = rng.uniform(0.5, 1.5, small_cfg.cep_dim)
     model.lifter.trainable = True
@@ -134,12 +138,12 @@ def test_model_in_the_loop_gradients(small_cfg, rng):
     cep_x = real_cepstrum(spec_x, small_cfg) * 2.0
 
     def loss():
-        return forward_chain(model, cep_x, spec_x, tgt, 12,
-                             train=True, update_stats=False).loss
+        return chain_forward(model.forward(cep_x, train=True),
+                             model.lifter.coeffs, spec_x, tgt, 12, small_cfg,
+                             gate=gate).loss
 
-    res = forward_chain(model, cep_x, spec_x, tgt, 12, train=True,
-                        update_stats=False, keep_cache=True)
-    grads = backward_chain(model, res)
+    res, grads = chain_gradients(model, cep_x, spec_x, tgt, 12, gate=gate)
+    assert res.loss == loss()
 
     eps = 1e-6
     checked = 0
@@ -157,13 +161,4 @@ def test_model_in_the_loop_gradients(small_cfg, rng):
             assert np.isclose(g[idx], fd, rtol=2e-4, atol=1e-8), (name, idx)
             checked += 1
     assert checked >= 30
-
-
-def test_backward_requires_cache(small_cfg, rng):
-    model = AcousticModel(small_cfg, hidden=(4, 3), seed=0)
-    _, _, spec_x, tgt = random_instance(small_cfg, rng)
-    cep_x = real_cepstrum(spec_x, small_cfg)
-    res = forward_chain(model, cep_x, spec_x, tgt, 8)
-    with pytest.raises(ValueError):
-        backward_chain(model, res)
 

@@ -221,11 +221,14 @@ def test_pretrain_stores_the_gate_that_convert_applies(workspace, tmp_path,
     ("train", "epochs", 2.5, "TrainConfig.epochs"),
     ("analysis", "fft_len", "512", "AnalysisConfig.fft_len"),
     ("subband", "enabled", "false", "subband.enabled"),
+    ("train", "pretrain_lr", float("nan"), "TrainConfig.pretrain_lr"),
+    ("train", "finetune_lr", float("inf"), "TrainConfig.finetune_lr"),
+    ("subband", "crossover_hz", float("nan"), "SubbandGate.crossover_hz"),
 ])
 def test_config_values_are_type_checked(tmp_path, capsys, section, key,
                                         value, name):
-    """A config value of the wrong type fails as the config loads, with a
-    one-line error that names the field."""
+    """A config value of the wrong type, or a NaN or infinite real, fails
+    as the config loads, with a one-line error that names the field."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({section: {key: value},
                                   "output_dir": str(tmp_path),
@@ -235,6 +238,7 @@ def test_config_values_are_type_checked(tmp_path, capsys, section, key,
     assert code == 1
     assert name in err
     assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize("key,value,name", [
@@ -243,6 +247,9 @@ def test_config_values_are_type_checked(tmp_path, capsys, section, key,
     ("data", {"train": [[1, 2]]}, "data.train"),
     ("model_file", 3, "RunConfig.model_file"),
     ("output_dir", ["out"], "RunConfig.output_dir"),
+    ("silence_threshold_db", float("nan"), "RunConfig.silence_threshold_db"),
+    ("silence_threshold_db", 0, "RunConfig.silence_threshold_db"),
+    ("silence_threshold_db", -5, "RunConfig.silence_threshold_db"),
 ])
 def test_run_config_fields_are_type_checked(tmp_path, capsys, key, value,
                                             name):
@@ -256,6 +263,7 @@ def test_run_config_fields_are_type_checked(tmp_path, capsys, key, value,
     assert code == 1
     assert name in err
     assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [config]
 
 
 def test_train_lifter_rejects_gate_in_training_key(workspace, tmp_path,
@@ -297,6 +305,23 @@ def test_prep_rejects_odd_fft_len(workspace, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "fft_len" in err
     assert err.count("\n") == 1
+
+
+def test_prep_rejects_all_silent_training_wav(workspace, tmp_path, capsys):
+    """An all-zero training WAV has no level to trim silence against: prep
+    exits 1 with one line and writes no dataset."""
+    silent = tmp_path / "silent.wav"
+    wav_write(silent, Waveform(np.zeros(4000), 16000))
+    doc = json.loads((workspace / "config.json").read_text())
+    doc["data"] = {"train": [[str(silent),
+                              str(workspace / "train_000_tgt.wav")]]}
+    doc["output_dir"] = str(tmp_path / "out")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli("prep", "--config", config, capsys=capsys)
+    assert code == 1
+    assert err == "error: waveform is entirely silent\n"
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.fixture(scope="module")
@@ -349,3 +374,18 @@ def test_convert_one_sample_wav(serving, tmp_path, capsys):
                              capsys=capsys)
     assert code == 0, err
     assert len(wav_read(tmp_path / "out.wav")) == 1
+
+
+def test_convert_all_silent_wav(serving, tmp_path, capsys):
+    """Converting digital silence succeeds and gives digital silence of the
+    same length."""
+    root, _ = serving
+    silent = tmp_path / "silent.wav"
+    wav_write(silent, Waveform(np.zeros(1000), 16000))
+    code, out, err = run_cli("convert", "--model", root / "model.lvc", "--in",
+                             silent, "--out", tmp_path / "out.wav",
+                             capsys=capsys)
+    assert code == 0, err
+    got = wav_read(tmp_path / "out.wav")
+    assert len(got) == 1000
+    assert not got.samples.any()

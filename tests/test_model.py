@@ -23,7 +23,7 @@ def test_sigmoid_saturates_without_overflow():
 def test_batchnorm_train_normalizes(rng):
     bn = BatchNorm(4)
     x = rng.normal(loc=3.0, scale=2.0, size=(64, 4))
-    y, _ = bn.forward(x, train=True, update_stats=True)
+    y, _ = bn.forward(x, train=True)
     assert np.allclose(y.mean(axis=0), 0.0, atol=1e-10)
     assert np.allclose(y.std(axis=0), 1.0, atol=1e-3)
     # running stats moved toward the batch stats by one momentum step
@@ -37,16 +37,9 @@ def test_batchnorm_infer_uses_running_stats(rng):
     bn.running_mean[:] = [1.0, -2.0, 0.5]
     bn.running_var[:] = [4.0, 1.0, 0.25]
     x = rng.normal(size=(5, 3))
-    y, _ = bn.forward(x, train=False, update_stats=False)
+    y, _ = bn.forward(x, train=False)
     want = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
     assert np.allclose(y, want)
-
-
-def test_batchnorm_train_no_update_leaves_stats(rng):
-    bn = BatchNorm(2)
-    bn.forward(rng.normal(size=(16, 2)), train=True, update_stats=False)
-    assert np.array_equal(bn.running_mean, np.zeros(2))
-    assert np.array_equal(bn.running_var, np.ones(2))
 
 
 def test_model_forward_matches_naive(small_cfg, rng):
@@ -118,11 +111,10 @@ def test_model_backward_matches_finite_differences(small_cfg, rng):
     w = rng.normal(size=(6, small_cfg.cep_dim))  # fixed readout weights
 
     def loss(m):
-        return float((m.forward(x, train=True, update_stats=False) * w).sum())
+        return float((m.forward(x, train=True) * w).sum())
 
-    out, cache = model.forward(x, train=True, update_stats=False,
-                               return_cache=True)
-    grads, gx = model.backward(cache, w)
+    out, cache = model.forward(x, train=True, return_cache=True)
+    grads = model.backward(cache, w)
 
     eps = 1e-6
     for name, param in model.trainable_entries():
@@ -138,24 +130,13 @@ def test_model_backward_matches_finite_differences(small_cfg, rng):
             got = grads[name].reshape(-1)[idx]
             assert np.isclose(got, fd, rtol=1e-4, atol=1e-7), name
 
-    # input gradient too
-    for b, i in ((0, 0), (3, 2)):
-        keep = x[b, i]
-        x[b, i] = keep + eps
-        up = loss(model)
-        x[b, i] = keep - eps
-        down = loss(model)
-        x[b, i] = keep
-        fd = (up - down) / (2 * eps)
-        assert np.isclose(gx[b, i], fd, rtol=1e-4, atol=1e-7)
-
 
 def test_adam_single_step_reference():
     # one step with g: m=0.1g, v=0.001g^2; bias correction makes the update
     # lr * g/|g| * 1/(1 + eps/|g|...) -- compute exactly
     p = np.array([1.0, -2.0])
     g = np.array([0.5, -0.25])
-    opt = Adam([p], lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam([p], lr=0.01)
     opt.step([g])
     mhat = (0.1 * g) / (1 - 0.9)
     vhat = (0.001 * g * g) / (1 - 0.999)
@@ -249,6 +230,8 @@ def test_load_without_subband_key_is_ungated(small_cfg, tmp_path):
     ({"fft_len": 64.0}, "AnalysisConfig.fft_len"),
     ({"hidden": [4, 0]}, "positive ints"),
     ({"hidden": [4, True]}, "positive ints"),
+    ({"subband": {"crossover_hz": float("nan"), "steepness_hz": 200.0}},
+     "SubbandGate.crossover_hz must be finite"),
 ])
 def test_load_rejects_bad_config_values(small_cfg, tmp_path, changes, match):
     path = tmp_path / "m.lvc"
