@@ -109,7 +109,8 @@ def cmd_train_lifter(args) -> int:
     model = load_model(run.model_file, run.analysis)
     train_data = _load_split(run, "train")
     val_data = _load_split(run, "val") if _dataset_paths(run)["val"].exists() else None
-    log = train_lifter(model, train_data, run.train, val_data, gate=run.subband)
+    model.subband = run.subband
+    log = train_lifter(model, train_data, run.train, val_data)
 
     out = Path(run.output_dir)
     model_path = Path(run.model_file).with_suffix(f".l{taps}.lvc")
@@ -127,7 +128,7 @@ def cmd_train_lifter(args) -> int:
 def cmd_convert(args) -> int:
     model = load_model(args.model)
     wave = wav_read(args.infile)
-    out = convert(wave, model, taps=args.taps, gate=model.subband)
+    out = convert(wave, model, taps=args.taps)
     wav_write(args.outfile, out)
     taps = args.taps if args.taps is not None else model.cfg.fft_len
     print(f"converted {args.infile} -> {args.outfile} "
@@ -139,7 +140,7 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     data = _load_eval_data(args.pairs, model)
     taps = args.taps if args.taps is not None else model.cfg.fft_len
-    report = eval_rmse(model, data, taps, gate=model.subband)
+    report = eval_rmse(model, data, taps)
     if args.out:
         report.to_csv(args.out)
     print(f"rmse {report.rmse!r} over {report.n_frames} frames "
@@ -150,7 +151,7 @@ def cmd_eval(args) -> int:
 def cmd_cumpow(args) -> int:
     model = load_model(args.model)
     data = _load_eval_data(args.pairs, model)
-    curve = cumulative_power(model, data, model.subband)
+    curve = cumulative_power(model, data)
     if args.out:
         write_cumulative_power_csv(args.out, curve)
     tap95 = power_threshold_tap(curve, 0.95)

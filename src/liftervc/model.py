@@ -75,19 +75,18 @@ class BatchNorm:
             var = self.running_var
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean) * inv
-        return self.gamma * xhat + self.beta, (xhat, inv, train, x.shape[0])
+        return self.gamma * xhat + self.beta, (xhat, inv)
 
     def backward(self, cache, gy):
-        xhat, inv, train, batch = cache
+        """Gradients through a training-mode forward, whose batch statistics
+        depend on every row: the standard coupled backward."""
+        xhat, inv = cache
+        batch = xhat.shape[0]
         ggamma = (gy * xhat).sum(axis=0)
         gbeta = gy.sum(axis=0)
         gxhat = gy * self.gamma
-        if train:
-            # Batch statistics depend on every row; standard coupled backward.
-            gx = (inv / batch) * (batch * gxhat - gxhat.sum(axis=0)
-                                  - xhat * (gxhat * xhat).sum(axis=0))
-        else:
-            gx = gxhat * inv
+        gx = (inv / batch) * (batch * gxhat - gxhat.sum(axis=0)
+                              - xhat * (gxhat * xhat).sum(axis=0))
         return gx, ggamma, gbeta
 
 
@@ -113,19 +112,21 @@ class GluLayer:
         return value * gate, (x, cache_v, cache_g, value, gate)
 
     def backward(self, cache, gout):
+        """Gradients of the two pre-activations and of the parameters; the
+        model forms the input's gradient from the former only where a lower
+        layer needs it."""
         x, cache_v, cache_g, value, gate = cache
         gnorm_v = gout * gate * (1.0 - value * value)
         gnorm_g = gout * value * gate * (1.0 - gate)
         gpre_v, ggamma_v, gbeta_v = self.bn_value.backward(cache_v, gnorm_v)
         gpre_g, ggamma_g, gbeta_g = self.bn_gate.backward(cache_g, gnorm_g)
-        gx = gpre_v @ self.w_value + gpre_g @ self.w_gate
         grads = {
             "w_value": gpre_v.T @ x, "b_value": gpre_v.sum(axis=0),
             "bn_value.gamma": ggamma_v, "bn_value.beta": gbeta_v,
             "w_gate": gpre_g.T @ x, "b_gate": gpre_g.sum(axis=0),
             "bn_gate.gamma": ggamma_g, "bn_gate.beta": gbeta_g,
         }
-        return gx, grads
+        return gpre_v, gpre_g, grads
 
 
 def default_hidden(cfg: AnalysisConfig) -> tuple:
@@ -155,12 +156,13 @@ class AcousticModel:
 
     # -- inference / training math -------------------------------------------
 
-    def forward(self, cep, train: bool = False, return_cache: bool = False):
+    def forward(self, cep, train: bool = False):
         """Map source cepstra (B, c) or (c,) to differential cepstra.
 
-        train selects batch statistics for batch norm and folds them into the
-        running statistics; otherwise the stored running statistics are used
-        and rows are independent.
+        train selects batch statistics for batch norm, folds them into the
+        running statistics and returns (out, cache) for backward; otherwise
+        the stored running statistics are used, rows are independent and
+        only out is returned.
         """
         cep = np.asarray(cep, dtype=np.float64)
         single = cep.ndim == 1
@@ -175,9 +177,8 @@ class AcousticModel:
             caches.append(cache)
         y = h @ self.w_out.T + self.b_out
         out = y * self.out_std + self.out_mean
-        if not return_cache:
-            return out[0] if single else out
-        return (out[0] if single else out), (caches, h)
+        out = out[0] if single else out
+        return (out, (caches, h)) if train else out
 
     def backward(self, cache, gout):
         """Gradients of a scalar loss w.r.t. all trainable parameters, given
@@ -188,9 +189,12 @@ class AcousticModel:
         grads = {"w_out": gy.T @ h_last, "b_out": gy.sum(axis=0)}
         gh = gy @ self.w_out
         for i in reversed(range(len(self.layers))):
-            gh, layer_grads = self.layers[i].backward(caches[i], gh)
+            layer = self.layers[i]
+            gpre_v, gpre_g, layer_grads = layer.backward(caches[i], gh)
             for name, g in layer_grads.items():
                 grads[f"layers.{i}.{name}"] = g
+            if i > 0:  # nothing needs the gradient of the network's input
+                gh = gpre_v @ layer.w_value + gpre_g @ layer.w_gate
         return grads
 
     # -- parameter bookkeeping -------------------------------------------------

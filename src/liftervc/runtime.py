@@ -25,9 +25,10 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
     """Convert a source waveform with per-frame truncated differential filters.
 
     Per frame: analyze, estimate the differential cepstrum, design the
-    filter with the model's lifter (gating the spectrum if requested),
-    truncate to `taps`, then overlap-add filter the waveform. The output is
-    clamped to [-1, 1]; clamped samples are counted and logged.
+    filter with the model's lifter, gating the spectrum by `gate` (None:
+    the model's own gate), truncate to `taps` (None: full length), then
+    overlap-add filter the waveform. The output is clamped to [-1, 1];
+    clamped samples are counted and logged.
     """
     cfg = model.cfg
     if wave.sample_rate != cfg.sample_rate:
@@ -35,6 +36,8 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
             f"sample rate {wave.sample_rate} does not match model ({cfg.sample_rate})")
     if taps is None:
         taps = cfg.fft_len
+    if gate is None:
+        gate = model.subband
     spec = stft(wave, cfg)
     cep_d = model.forward(real_cepstrum(spec, cfg))
     filters, delay = conversion_filters(cep_d, model.lifter.coeffs, cfg, taps,
@@ -61,13 +64,13 @@ class MetricsReport:
                   [*enumerate(self.per_utterance), ("all", self.rmse)])
 
 
-def eval_rmse(model: AcousticModel, data: TrainingSet, taps: int,
-              gate: SubbandGate | None = None) -> MetricsReport:
+def eval_rmse(model: AcousticModel, data: TrainingSet,
+              taps: int) -> MetricsReport:
     """Root of the mean squared cepstral error through the truncation chain,
-    per utterance and pooled."""
+    with the model's gate, per utterance and pooled."""
     if len(data) == 0:
         raise ValueError("empty evaluation set")
-    losses = frame_losses(model, data, taps, gate)
+    losses = frame_losses(model, data, taps)
     per_utt = np.array([
         np.sqrt(losses[data.offsets[u]:data.offsets[u + 1]].mean())
         for u in range(data.n_utterances)])
@@ -75,10 +78,9 @@ def eval_rmse(model: AcousticModel, data: TrainingSet, taps: int,
                          per_utterance=per_utt, n_frames=len(data))
 
 
-def cumulative_power(model: AcousticModel, data: TrainingSet,
-                     gate: SubbandGate | None = None) -> np.ndarray:
+def cumulative_power(model: AcousticModel, data: TrainingSet) -> np.ndarray:
     """Average normalized cumulative energy of the full-length differential
-    filters the model designs for an evaluation set.
+    filters the model designs, with its gate, for an evaluation set.
 
     Entry n is the mean over frames of sum(h[:n+1]**2) / sum(h**2), taps
     counted from the time origin (a gated filter's acausal lobe wraps to the
@@ -92,7 +94,7 @@ def cumulative_power(model: AcousticModel, data: TrainingSet,
     for a in range(0, len(data), CUMPOW_BATCH):
         cep_d = model.forward(data.src_cep[a:a + CUMPOW_BATCH])
         filters, delay = conversion_filters(cep_d, model.lifter.coeffs, cfg,
-                                            cfg.fft_len, gate)
+                                            cfg.fft_len, model.subband)
         filters = np.roll(filters, -delay, axis=1)
         power = filters * filters
         cum = np.cumsum(power, axis=1)

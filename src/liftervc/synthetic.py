@@ -12,7 +12,7 @@ truncation effects can be studied in isolation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .model import AcousticModel
 from .runtime import eval_rmse
 from .spectral import Waveform
 from .training import TrainLog, pretrain_conventional, train_lifter
-from .wavio import write_csv
+from .wavio import wav_write, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -141,24 +141,20 @@ def make_corpus(out_dir, cfg: AnalysisConfig | None = None, n_train: int = 12,
                 n_val: int = 4, n_test: int = 4, duration_s: float = 2.0,
                 seed: int = 0, edge_silence_s: float = 0.1) -> RunConfig:
     """Write a WAV corpus plus a ready-to-run config document to out_dir."""
-    from .wavio import wav_write
-
     cfg = cfg or AnalysisConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    delta = default_differential(cfg)
     lists = {}
     for split, count in (("train", n_train), ("val", n_val), ("test", n_test)):
-        pairs = []
-        for i in range(count):
-            src, tgt = make_pair(cfg, delta, duration_s, rng, edge_silence_s)
-            src_path = out_dir / f"{split}_{i:03d}_src.wav"
-            tgt_path = out_dir / f"{split}_{i:03d}_tgt.wav"
-            wav_write(src_path, src)
-            wav_write(tgt_path, tgt)
-            pairs.append((str(src_path), str(tgt_path)))
-        lists[split] = pairs
+        lists[split] = []
+        for i, pair in enumerate(make_pairs(cfg, count, duration_s, rng,
+                                            edge_silence_s=edge_silence_s)):
+            paths = [out_dir / f"{split}_{i:03d}_{side}.wav"
+                     for side in ("src", "tgt")]
+            for path, wave in zip(paths, pair):
+                wav_write(path, wave)
+            lists[split].append(tuple(map(str, paths)))
     run = RunConfig(analysis=cfg, train=TrainConfig(taps=cfg.fft_len),
                     train_pairs=lists["train"], val_pairs=lists["val"],
                     test_pairs=lists["test"],
@@ -187,7 +183,6 @@ class SweepResult:
     pretrain_log: TrainLog
     finetune_logs: dict
     val_data: TrainingSet
-    train_data: TrainingSet = field(repr=False, default=None)
 
     def gap(self, taps: int) -> float:
         return self.fixed_rmse[taps] - self.trained_rmse[taps]
@@ -211,32 +206,31 @@ def build_sweep_data(cfg: AnalysisConfig, n_train: int, n_val: int,
     return train, val
 
 
-def run_tap_sweep(taps=(32, 48, 64, 128), cfg: AnalysisConfig | None = None,
-                  seed: int = 0, n_train: int = 48, n_val: int = 8,
-                  duration_s: float = 2.5, hidden=(48, 32),
-                  pretrain_epochs: int = 12, finetune_epochs: int = 60,
-                  pretrain_lr: float = 5e-4, finetune_lr: float = 2e-5,
-                  batch_size: int = 512,
-                  delta_cep: np.ndarray | None = None) -> SweepResult:
+def run_tap_sweep(taps=(32, 48, 64, 128), seed: int = 0, n_train: int = 48,
+                  n_val: int = 8, duration_s: float = 2.5,
+                  pretrain_epochs: int = 12,
+                  finetune_epochs: int = 60) -> SweepResult:
     """Pretrain once, then fine-tune a copy of the model at each tap count
-    and compare against the fixed minimum-phase lifter.
+    and compare against the fixed minimum-phase lifter, on the default
+    16 kHz analysis and synthetic differential.
 
-    The defaults are sized for a desk-scale run of a few minutes; the
-    conventional corpus-scale settings live in TrainConfig.  Pretraining is
-    deliberately stopped while validation loss is still falling, so that the
-    fine-tuning stage always has genuine descent left to claim; the truncation
-    penalty it must additionally repair is concentrated at the short tap
-    counts by the shape of the default differential.
+    The model size, learning rates and batch size are fixed for a
+    desk-scale run of a few minutes; the conventional corpus-scale settings
+    live in TrainConfig.  Pretraining is deliberately stopped while
+    validation loss is still falling, so that the fine-tuning stage always
+    has genuine descent left to claim; the truncation penalty it must
+    additionally repair is concentrated at the short tap counts by the shape
+    of the default differential.
     """
-    cfg = cfg or AnalysisConfig()
+    cfg = AnalysisConfig()
     train_data, val_data = build_sweep_data(cfg, n_train, n_val, duration_s,
-                                            seed, delta_cep)
+                                            seed)
     log.info("sweep data: %d train frames, %d val frames",
              len(train_data), len(val_data))
 
-    model = AcousticModel(cfg, hidden=hidden, seed=seed)
-    pre_cfg = TrainConfig(taps=cfg.fft_len, pretrain_lr=pretrain_lr,
-                          finetune_lr=finetune_lr, batch_size=batch_size,
+    model = AcousticModel(cfg, hidden=(48, 32), seed=seed)
+    pre_cfg = TrainConfig(taps=cfg.fft_len, pretrain_lr=5e-4,
+                          finetune_lr=2e-5, batch_size=512,
                           epochs=pretrain_epochs, seed=seed)
     pretrain_log = pretrain_conventional(model, train_data, pre_cfg, val_data)
     baseline = eval_rmse(model, val_data, cfg.fft_len).rmse
@@ -256,5 +250,4 @@ def run_tap_sweep(taps=(32, 48, 64, 128), cfg: AnalysisConfig | None = None,
     return SweepResult(taps=tuple(taps), fixed_rmse=fixed, trained_rmse=trained,
                        baseline_rmse=baseline, pretrained=model,
                        tuned=tuned_models, pretrain_log=pretrain_log,
-                       finetune_logs=ft_logs, val_data=val_data,
-                       train_data=train_data)
+                       finetune_logs=ft_logs, val_data=val_data)

@@ -8,12 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainResult, chain_backward, chain_forward
-from .config import SubbandGate, TrainConfig
+from .config import TrainConfig
 from .dataset import TrainingSet
 from .model import AcousticModel, Adam
 from .wavio import write_csv
 
 STD_FLOOR = 1e-8
+LOSS_BATCH = 2048  # frames per inference batch in frame_losses
 
 
 @dataclass
@@ -54,18 +55,17 @@ def set_normalization(model: AcousticModel, data: TrainingSet) -> None:
 
 
 def frame_losses(model: AcousticModel, data: TrainingSet,
-                 taps: int | None = None, gate: SubbandGate | None = None,
-                 batch_size: int = 2048) -> np.ndarray:
+                 taps: int | None = None) -> np.ndarray:
     """Per-frame squared cepstral error of a model over a dataset, in
     inference mode.
 
-    With taps, the target estimate is what the truncated filter produces,
-    scored through the chain; without, it is the conventional additive
-    estimate (source plus predicted differential).
+    With taps, the target estimate is what the truncated filter, gated by
+    the model's gate, produces, scored through the chain; without, it is the
+    conventional additive estimate (source plus predicted differential).
     """
     losses = np.empty(len(data))
-    for a in range(0, len(data), batch_size):
-        rows = slice(a, a + batch_size)
+    for a in range(0, len(data), LOSS_BATCH):
+        rows = slice(a, a + LOSS_BATCH)
         x, tgt = data.src_cep[rows], data.tgt_cep[rows]
         if taps is None:
             err = x + model.forward(x) - tgt
@@ -73,19 +73,18 @@ def frame_losses(model: AcousticModel, data: TrainingSet,
         else:
             losses[rows] = chain_forward(
                 model.forward(x), model.lifter.coeffs, data.src_spec[rows],
-                tgt, taps, model.cfg, gate=gate).frame_losses
+                tgt, taps, model.cfg, gate=model.subband).frame_losses
     return losses
 
 
 def chain_gradients(model: AcousticModel, cep_x: np.ndarray, spec_x: np.ndarray,
-                    tgt_cep: np.ndarray, taps: int,
-                    gate: SubbandGate | None = None) -> tuple[ChainResult, dict]:
+                    tgt_cep: np.ndarray, taps: int) -> tuple[ChainResult, dict]:
     """The model-in-the-loop training pass: the network's training-mode
-    forward, the chain with the model's lifter, both backward. Returns the
-    chain result and gradients keyed like trainable_entries(True)."""
-    cep_d, model_cache = model.forward(cep_x, train=True, return_cache=True)
+    forward, the chain with the model's lifter and gate, both backward.
+    Returns the chain result and gradients keyed like trainable_entries(True)."""
+    cep_d, model_cache = model.forward(cep_x, train=True)
     result = chain_forward(cep_d, model.lifter.coeffs, spec_x, tgt_cep, taps,
-                           model.cfg, gate=gate)
+                           model.cfg, gate=model.subband)
     g_cep_d, g_lifter = chain_backward(result, model.cfg)
     grads = model.backward(model_cache, g_cep_d)
     grads["lifter"] = g_lifter
@@ -138,7 +137,7 @@ def pretrain_conventional(model: AcousticModel, data: TrainingSet,
 
     def step(idx):
         xb = data.src_cep[idx]
-        cep_d, cache = model.forward(xb, train=True, return_cache=True)
+        cep_d, cache = model.forward(xb, train=True)
         err = xb + cep_d - data.tgt_cep[idx]
         grads = model.backward(cache, (2.0 / len(idx)) * err)
         return float((err * err).sum()), grads
@@ -149,26 +148,24 @@ def pretrain_conventional(model: AcousticModel, data: TrainingSet,
 
 
 def train_lifter(model: AcousticModel, data: TrainingSet, cfg: TrainConfig,
-                 val_data: TrainingSet | None = None,
-                 gate: SubbandGate | None = None) -> TrainLog:
+                 val_data: TrainingSet | None = None) -> TrainLog:
     """Joint fine-tuning of the model and its lifter through the truncation
-    chain at cfg.taps.
+    chain at cfg.taps, gated by the model's gate.
 
     The model should be pretrained and its lifter initialized to the
     minimum-phase prefix; training marks the lifter trainable and updates it
-    together with the network by Adam, and records the gate in the model.
-    The reported rmse is the root of the validation chain loss at cfg.taps.
+    together with the network by Adam. The reported rmse is the root of the
+    validation chain loss at cfg.taps.
     """
     def step(idx):
         result, grads = chain_gradients(
             model, data.src_cep[idx], data.src_spec[idx], data.tgt_cep[idx],
-            cfg.taps, gate=gate)
+            cfg.taps)
         return float(result.frame_losses.sum()), grads
 
     log = _run_epochs(
         data, val_data, cfg, model.trainable_entries(include_lifter=True),
         cfg.finetune_lr, step,
-        lambda val: float(frame_losses(model, val, cfg.taps, gate).mean()))
+        lambda val: float(frame_losses(model, val, cfg.taps).mean()))
     model.lifter.trainable = True
-    model.subband = gate
     return log

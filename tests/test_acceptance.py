@@ -70,6 +70,7 @@ def random_chain_instance(i: int):
     if i % 3 == 0:
         gate = SubbandGate(crossover_hz=float(rng.uniform(1600, 4800)),
                            steepness_hz=float(rng.uniform(150, 600)))
+    model.subband = gate
     return rng, cfg, model, cep_x, spec_x, tgt, taps, gate
 
 
@@ -93,11 +94,11 @@ def test_gradient_fidelity(capsys):
         saved = [p.copy() for p in params]
 
         def loss():
-            return chain_forward(model.forward(cep_x, train=True),
+            return chain_forward(model.forward(cep_x, train=True)[0],
                                  model.lifter.coeffs, spec_x, tgt, taps, cfg,
                                  gate=gate).loss
 
-        _, grads = chain_gradients(model, cep_x, spec_x, tgt, taps, gate=gate)
+        _, grads = chain_gradients(model, cep_x, spec_x, tgt, taps)
         gvec = np.concatenate([grads[name].reshape(-1) for name, _ in entries])
 
         def shift(vec, scale):
@@ -166,8 +167,8 @@ def test_naive_oracle_equivalence(capsys):
                                 spec_x, tgt, taps, cfg, gate=gate).loss
             cep_d = model.forward(cep_x)
         else:
-            got = frame_losses(model, TrainingSet(cep_x, tgt, spec_x), taps,
-                               gate).mean()
+            got = frame_losses(model, TrainingSet(cep_x, tgt, spec_x),
+                               taps).mean()
             cep_d = model.forward(cep_x)
         want = naive_chain_loss(cep_d, model.lifter.coeffs, spec_x, tgt,
                                 taps, cfg, gate=gate)

@@ -134,15 +134,16 @@ def test_model_in_the_loop_gradients(small_cfg, rng, gate):
     model = AcousticModel(small_cfg, hidden=(5, 4), seed=2)
     model.out_std[:] = rng.uniform(0.5, 1.5, small_cfg.cep_dim)
     model.lifter.trainable = True
+    model.subband = gate
     _, _, spec_x, tgt = random_instance(small_cfg, rng)
     cep_x = real_cepstrum(spec_x, small_cfg) * 2.0
 
     def loss():
-        return chain_forward(model.forward(cep_x, train=True),
+        return chain_forward(model.forward(cep_x, train=True)[0],
                              model.lifter.coeffs, spec_x, tgt, 12, small_cfg,
                              gate=gate).loss
 
-    res, grads = chain_gradients(model, cep_x, spec_x, tgt, 12, gate=gate)
+    res, grads = chain_gradients(model, cep_x, spec_x, tgt, 12)
     assert res.loss == loss()
 
     eps = 1e-6

@@ -126,12 +126,27 @@ def test_convert_missing_model_fails(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-def test_train_lifter_rejects_bad_taps(workspace, capsys):
+def test_train_lifter_rejects_bad_taps(workspace, serving, tmp_path, capsys):
+    """A tap count outside 1..fft_len fails with one line and no output,
+    whether train-lifter, convert or eval is given it."""
     code, out, err = run_cli("train-lifter", "--config",
                              workspace / "config.json", "--taps", 0,
                              capsys=capsys)
     assert code == 1
     assert "taps" in err
+    root, _ = serving
+    model, src = root / "model.lvc", root / "src.wav"
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"{src},{src}\n")
+    out_path = tmp_path / "out"
+    for argv in (("convert", "--in", src, "--out", out_path, "--taps", 0),
+                 ("convert", "--in", src, "--out", out_path, "--taps", 65),
+                 ("eval", "--pairs", pairs, "--out", out_path, "--taps", 65)):
+        code, out, err = run_cli(argv[0], "--model", model, *argv[1:],
+                                 capsys=capsys)
+        assert code == 1, argv
+        assert err == "error: truncation length must be in 1..64\n"
+        assert not out_path.exists()
 
 
 def test_eval_rejects_malformed_pairs_csv(workspace, tmp_path, capsys):
@@ -201,9 +216,10 @@ def test_pretrain_stores_the_gate_that_convert_applies(workspace, tmp_path,
                              "--taps", 12, capsys=capsys)
     assert code == 0, err
     got = (tmp_path / "out.wav").read_bytes()
-    for name, want_gate in (("gated.wav", gate), ("ungated.wav", None)):
-        wav_write(tmp_path / name,
-                  convert(wav_read(src), model, taps=12, gate=want_gate))
+    ungated = model.copy()
+    ungated.subband = None
+    for name, served in (("gated.wav", model), ("ungated.wav", ungated)):
+        wav_write(tmp_path / name, convert(wav_read(src), served, taps=12))
     assert got == (tmp_path / "gated.wav").read_bytes()
     assert got != (tmp_path / "ungated.wav").read_bytes()
 
@@ -295,16 +311,18 @@ def test_eval_rejects_non_finite_model(workspace, tmp_path, capsys):
 
 
 def test_prep_rejects_odd_fft_len(workspace, tmp_path, capsys):
-    """An odd fft_len fails as the config loads, not later in pretrain."""
-    doc = json.loads((workspace / "config.json").read_text())
-    doc["analysis"]["fft_len"] = 63
-    doc["output_dir"] = str(tmp_path)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
-    code, out, err = run_cli("prep", "--config", config, capsys=capsys)
-    assert code == 1
-    assert err.startswith("error:") and "fft_len" in err
-    assert err.count("\n") == 1
+    """An odd fft_len, or a hop longer than the window, fails as the config
+    loads, not later in pretrain."""
+    for key, value in (("fft_len", 63), ("hop", 49)):
+        doc = json.loads((workspace / "config.json").read_text())
+        doc["analysis"][key] = value
+        doc["output_dir"] = str(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli("prep", "--config", config, capsys=capsys)
+        assert code == 1
+        assert err.startswith("error:") and key in err
+        assert err.count("\n") == 1
 
 
 def test_prep_rejects_all_silent_training_wav(workspace, tmp_path, capsys):

@@ -111,9 +111,9 @@ def test_model_backward_matches_finite_differences(small_cfg, rng):
     w = rng.normal(size=(6, small_cfg.cep_dim))  # fixed readout weights
 
     def loss(m):
-        return float((m.forward(x, train=True) * w).sum())
+        return float((m.forward(x, train=True)[0] * w).sum())
 
-    out, cache = model.forward(x, train=True, return_cache=True)
+    out, cache = model.forward(x, train=True)
     grads = model.backward(cache, w)
 
     eps = 1e-6

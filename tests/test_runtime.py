@@ -85,14 +85,24 @@ def test_convert_applies_the_filter_the_chain_scores(small_cfg, rng, taps,
                                                      gate):
     """Train/serve agreement: the magnitude cepstrum of the filter convert
     applies, measured as its response to a unit impulse, equals the chain's
-    estimate for the same model on a flat source spectrum."""
+    estimate for the same model on a flat source spectrum. convert and
+    eval_rmse both serve the model's own gate."""
     n, c = small_cfg.fft_len, small_cfg.cep_dim
     model = constant_model(small_cfg, rng.normal(size=c) * 0.3)
+    model.subband = gate
     amplitude = 1e-2  # keeps the response clear of the output clamp
     x = np.zeros(2 * n + small_cfg.hop)
     x[n] = amplitude
-    y = convert(Waveform(x, small_cfg.sample_rate), model, taps=taps,
-                gate=gate).samples / amplitude
+    impulse = Waveform(x, small_cfg.sample_rate)
+    served = convert(impulse, model, taps=taps).samples
+    assert np.array_equal(
+        served, convert(impulse, model, taps=taps, gate=gate).samples)
+    if gate is not None:
+        ungated = model.copy()
+        ungated.subband = None
+        assert not np.array_equal(
+            served, convert(impulse, ungated, taps=taps).samples)
+    y = served / amplitude
     # Every applied tap lands within y[:2n] (the onset delay is at most n/4);
     # folding it onto n samples shifts the filter circularly, which leaves
     # its magnitude unchanged.
@@ -103,6 +113,9 @@ def test_convert_applies_the_filter_the_chain_scores(small_cfg, rng, taps,
                           np.ones((1, n), complex), np.zeros((1, c)), taps,
                           small_cfg, gate=gate)
     assert np.max(np.abs(measured - chain.cep_y[0])) < 1e-10
+    flat = TrainingSet(np.zeros((1, c)), np.zeros((1, c)),
+                       np.ones((1, n), complex))
+    assert eval_rmse(model, flat, taps).rmse == np.sqrt(chain.loss)
 
 
 def test_metrics_report_csv(tmp_path, small_cfg, rng):
@@ -139,12 +152,19 @@ def test_cumulative_power_shape_and_limits(small_cfg, rng):
 def test_cumulative_power_counts_from_the_time_origin():
     """A gated filter's time origin sits `delay` taps in; counted from
     there, the gate leaves the 0.95 tap of the full-band default
-    differential where the ungated filter has it."""
+    differential where the ungated filter has it. The curve is that of the
+    model's own gate."""
     cfg = AnalysisConfig.for_rate(48000)
     model = constant_model(cfg, default_differential(cfg), hidden=(4, 3))
     data = TrainingSet(np.zeros((2, cfg.cep_dim)), np.zeros((2, cfg.cep_dim)),
                        np.zeros((2, cfg.fft_len), complex))
     ungated = cumulative_power(model, data)
-    gated = cumulative_power(model, data, SubbandGate())
+    model.subband = SubbandGate()
+    gated = cumulative_power(model, data)
+    h, delay = conversion_filters(default_differential(cfg),
+                                  model.lifter.coeffs, cfg, cfg.fft_len,
+                                  SubbandGate())
+    cum = np.cumsum(np.roll(h, -delay) ** 2)
+    assert np.allclose(gated, cum / cum[-1], rtol=0.0, atol=1e-12)
     assert gated[-1] == pytest.approx(1.0)
     assert power_threshold_tap(gated, 0.95) == power_threshold_tap(ungated, 0.95)

@@ -6,6 +6,7 @@ import pytest
 from liftervc import (AcousticModel, AnalysisConfig, Lifter, TrainConfig,
                       TrainingSet, constant_model, frame_losses,
                       pretrain_conventional, train_lifter)
+from liftervc import training
 from liftervc.dataset import build_dataset
 from liftervc.training import EpochRow, TrainLog, set_normalization
 from liftervc.synthetic import make_pairs
@@ -75,12 +76,15 @@ def test_set_normalization_statistics(small_cfg, rng):
     assert np.all(model.out_std > 0)
 
 
-def test_cepstral_loss_of_perfect_constant_model(small_cfg, rng):
+def test_cepstral_loss_of_perfect_constant_model(small_cfg, rng,
+                                                 monkeypatch):
     """A constant model emitting the true differential scores exactly the
-    mean squared residual of the dataset around that differential."""
+    mean squared residual of the dataset around that differential, however
+    the frames are batched."""
     data, delta = tiny_dataset(small_cfg, rng)
     model = constant_model(small_cfg, delta)
-    got = frame_losses(model, data, batch_size=7)
+    monkeypatch.setattr(training, "LOSS_BATCH", 7)
+    got = frame_losses(model, data)
     err = data.src_cep + delta - data.tgt_cep
     assert np.allclose(got, (err * err).sum(axis=1), rtol=1e-12, atol=0.0)
 
