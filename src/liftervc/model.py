@@ -64,15 +64,11 @@ class BatchNorm:
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def forward(self, x, train: bool):
-        if train:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
-            self.running_var += BN_MOMENTUM * (var - self.running_var)
-        else:
-            mean = self.running_mean
-            var = self.running_var
+    def forward(self, x):
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)
+        self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+        self.running_var += BN_MOMENTUM * (var - self.running_var)
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean) * inv
         return self.gamma * xhat + self.beta, (xhat, inv)
@@ -102,14 +98,28 @@ class GluLayer:
         self.bn_value = BatchNorm(out_dim)
         self.bn_gate = BatchNorm(out_dim)
 
-    def forward(self, x, train: bool):
+    def forward(self, x):
         pre_v = x @ self.w_value.T + self.b_value
         pre_g = x @ self.w_gate.T + self.b_gate
-        norm_v, cache_v = self.bn_value.forward(pre_v, train)
-        norm_g, cache_g = self.bn_gate.forward(pre_g, train)
+        norm_v, cache_v = self.bn_value.forward(pre_v)
+        norm_g, cache_g = self.bn_gate.forward(pre_g)
         value = np.tanh(norm_v)
         gate = sigmoid(norm_g)
         return value * gate, (x, cache_v, cache_g, value, gate)
+
+    def folded(self, w_scale: float):
+        """Inference pre-activations with the running statistics, stacked:
+        x @ w.T + b is BN_v(W_v x' + b_v) beside BN_g(W_g x' + b_g) / 2 for
+        the input x' = w_scale * x, as sigmoid(z) = (1 + tanh(z/2)) / 2."""
+        n = self.b_value.size
+        w, b = np.empty((2 * n, self.w_value.shape[1])), np.empty(2 * n)
+        for rows, weight, bias, bn, half in (
+                (slice(n), self.w_value, self.b_value, self.bn_value, 1.0),
+                (slice(n, None), self.w_gate, self.b_gate, self.bn_gate, 0.5)):
+            scale = half * bn.gamma / np.sqrt(bn.running_var + BN_EPS)
+            np.multiply(weight, (w_scale * scale)[:, None], out=w[rows])
+            b[rows] = scale * (bias - bn.running_mean) + half * bn.beta
+        return w, b
 
     def backward(self, cache, gout):
         """Gradients of the two pre-activations and of the parameters; the
@@ -160,25 +170,45 @@ class AcousticModel:
         """Map source cepstra (B, c) or (c,) to differential cepstra.
 
         train selects batch statistics for batch norm, folds them into the
-        running statistics and returns (out, cache) for backward; otherwise
-        the stored running statistics are used, rows are independent and
-        only out is returned.
+        running statistics and returns (out, cache) for backward. Otherwise
+        only out is returned, rows are independent, and each layer is a
+        matmul by weights folded from the live parameters and one tanh; its
+        output is twice the GLU's, which the next matmul halves exactly. The
+        input z-score stays unfolded: with in_std at its 1e-8 floor, 1/in_std
+        in the weights would cancel terms of order 1e8.
         """
         cep = np.asarray(cep, dtype=np.float64)
         single = cep.ndim == 1
         x = cep[None, :] if single else cep
         if x.shape[1] != self.cfg.cep_dim:
             raise ValueError(f"expected {self.cfg.cep_dim} cepstral dims, got {x.shape[1]}")
-        xn = (x - self.in_mean) / self.in_std
-        caches = []
-        h = xn
+        h = (x - self.in_mean) / self.in_std
+        if train:
+            caches = []
+            for layer in self.layers:
+                h, cache = layer.forward(h)
+                caches.append(cache)
+            out = (h @ self.w_out.T + self.b_out) * self.out_std + self.out_mean
+            return (out[0] if single else out), (caches, h)
+        w_scale = 1.0
         for layer in self.layers:
-            h, cache = layer.forward(h, train)
-            caches.append(cache)
-        y = h @ self.w_out.T + self.b_out
-        out = y * self.out_std + self.out_mean
-        out = out[0] if single else out
-        return (out, (caches, h)) if train else out
+            w, b = layer.folded(w_scale)
+            # Two products into the halves of z: above about 190 output
+            # columns, OpenBLAS packs all of h into its work buffer, whose
+            # pages then stay resident (8 bytes per input element).
+            n = b.size // 2
+            z = np.empty((len(h), 2 * n))
+            np.matmul(h, w[:n].T, out=z[:, :n])
+            np.matmul(h, w[n:].T, out=z[:, n:])
+            z += b
+            np.tanh(z, out=z)
+            h, gate = np.split(z, 2, axis=1)
+            gate += 1.0
+            h *= gate
+            w_scale = 0.5
+        out = h @ ((w_scale * self.out_std)[:, None] * self.w_out).T
+        out += self.b_out * self.out_std + self.out_mean
+        return out[0] if single else out
 
     def backward(self, cache, gout):
         """Gradients of a scalar loss w.r.t. all trainable parameters, given

@@ -37,6 +37,22 @@ def run_cli(*argv, capsys=None):
     return code, captured.out, captured.err
 
 
+@pytest.fixture(scope="module")
+def pretrained(workspace, tmp_path_factory):
+    """The workspace corpus after `prep` and `pretrain`, in a directory of
+    its own: config.json, train/val/test.npz and model.lvc, for the tests
+    that read them (test_full_workflow runs and checks both commands
+    itself)."""
+    root = tmp_path_factory.mktemp("pretrained")
+    doc = json.loads((workspace / "config.json").read_text())
+    doc.update(model_file=str(root / "model.lvc"), output_dir=str(root))
+    config = root / "config.json"
+    config.write_text(json.dumps(doc))
+    for command in ("prep", "pretrain"):
+        assert run_cli(command, "--config", config)[0] == 0, command
+    return root
+
+
 def test_full_workflow(workspace, capsys):
     config = workspace / "config.json"
 
@@ -149,22 +165,22 @@ def test_train_lifter_rejects_bad_taps(workspace, serving, tmp_path, capsys):
         assert not out_path.exists()
 
 
-def test_eval_rejects_malformed_pairs_csv(workspace, tmp_path, capsys):
+def test_eval_rejects_malformed_pairs_csv(pretrained, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("one_column_only\n")
-    code, out, err = run_cli("eval", "--model", workspace / "model.lvc",
+    code, out, err = run_cli("eval", "--model", pretrained / "model.lvc",
                              "--pairs", bad, capsys=capsys)
     assert code == 1
     assert "source,target" in err
 
 
-def gated_run(workspace, tmp_path, files=("model.lvc", "train.npz",
-                                          "val.npz")):
-    """A config in tmp_path, copied from the workspace's, with the gate on;
-    returns its path and document."""
+def gated_run(pretrained, tmp_path, files=("model.lvc", "train.npz",
+                                           "val.npz")):
+    """A config in tmp_path, copied from the pretrained directory's, with
+    the gate on; returns its path and document."""
     for name in files:
-        shutil.copy(workspace / name, tmp_path / name)
-    doc = json.loads((workspace / "config.json").read_text())
+        shutil.copy(pretrained / name, tmp_path / name)
+    doc = json.loads((pretrained / "config.json").read_text())
     doc.update(model_file=str(tmp_path / "model.lvc"), output_dir=str(tmp_path),
                subband={"enabled": True, "crossover_hz": 4000.0,
                         "steepness_hz": 500.0})
@@ -173,12 +189,12 @@ def gated_run(workspace, tmp_path, files=("model.lvc", "train.npz",
     return config, doc
 
 
-def test_train_lifter_trains_the_gated_filter(workspace, tmp_path, capsys):
+def test_train_lifter_trains_the_gated_filter(pretrained, tmp_path, capsys):
     """With sub-band gating enabled in the config, train-lifter optimizes the
     gated filter and stores the gate in the model it saves: `eval` of that
     model, without flags, scores what training reported, and the same model
     saved ungated does not."""
-    config, _ = gated_run(workspace, tmp_path)
+    config, _ = gated_run(pretrained, tmp_path)
     code, out, err = run_cli("train-lifter", "--config", config, "--taps", 12,
                              capsys=capsys)
     assert code == 0, err
@@ -199,11 +215,12 @@ def test_train_lifter_trains_the_gated_filter(workspace, tmp_path, capsys):
     assert eval_rmse(tmp_path / "ungated.lvc") != trained
 
 
-def test_pretrain_stores_the_gate_that_convert_applies(workspace, tmp_path,
-                                                       capsys):
+def test_pretrain_stores_the_gate_that_convert_applies(workspace, pretrained,
+                                                       tmp_path, capsys):
     """pretrain writes the config's gate into the model; convert, without
     flags, applies it; train-lifter replaces it with its own config's."""
-    config, doc = gated_run(workspace, tmp_path, files=("train.npz", "val.npz"))
+    config, doc = gated_run(pretrained, tmp_path,
+                            files=("train.npz", "val.npz"))
     code, out, err = run_cli("pretrain", "--config", config, capsys=capsys)
     assert code == 0, err
     gate = SubbandGate(crossover_hz=4000.0, steepness_hz=500.0)
@@ -296,15 +313,15 @@ def test_train_lifter_rejects_gate_in_training_key(workspace, tmp_path,
     assert err.count("\n") == 1
 
 
-def test_eval_rejects_non_finite_model(workspace, tmp_path, capsys):
+def test_eval_rejects_non_finite_model(pretrained, tmp_path, capsys):
     """A model file with a NaN parameter fails at load with a one-line
     error naming the array, instead of scoring rmse nan."""
-    model = load_model(workspace / "model.lvc")
+    model = load_model(pretrained / "model.lvc")
     model.w_out[0, 0] = np.nan
     path = tmp_path / "nan.lvc"
     save_model(model, path)
     code, out, err = run_cli("eval", "--model", path, "--pairs",
-                             workspace / "test.npz", capsys=capsys)
+                             pretrained / "test.npz", capsys=capsys)
     assert code == 1
     assert err.startswith("error:") and "w_out" in err
     assert err.count("\n") == 1

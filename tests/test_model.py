@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from liftervc import (AcousticModel, Adam, SubbandGate, constant_model,
-                      load_model, save_model)
-from liftervc.model import (BN_EPS, BN_MOMENTUM, FORMAT_VERSION, BatchNorm,
+from liftervc import (AcousticModel, Adam, AnalysisConfig, SubbandGate,
+                      constant_model, load_model, save_model)
+from liftervc.model import (BN_MOMENTUM, FORMAT_VERSION, BatchNorm,
                             ModelFileError, sigmoid)
+from liftervc.training import STD_FLOOR
 
 from naive import naive_model_forward
 
@@ -23,7 +24,7 @@ def test_sigmoid_saturates_without_overflow():
 def test_batchnorm_train_normalizes(rng):
     bn = BatchNorm(4)
     x = rng.normal(loc=3.0, scale=2.0, size=(64, 4))
-    y, _ = bn.forward(x, train=True)
+    y, _ = bn.forward(x)
     assert np.allclose(y.mean(axis=0), 0.0, atol=1e-10)
     assert np.allclose(y.std(axis=0), 1.0, atol=1e-3)
     # running stats moved toward the batch stats by one momentum step
@@ -32,33 +33,39 @@ def test_batchnorm_train_normalizes(rng):
                        1.0 + BN_MOMENTUM * (x.var(axis=0) - 1.0))
 
 
-def test_batchnorm_infer_uses_running_stats(rng):
-    bn = BatchNorm(3)
-    bn.running_mean[:] = [1.0, -2.0, 0.5]
-    bn.running_var[:] = [4.0, 1.0, 0.25]
-    x = rng.normal(size=(5, 3))
-    y, _ = bn.forward(x, train=False)
-    want = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
-    assert np.allclose(y, want)
-
-
 def test_model_forward_matches_naive(small_cfg, rng):
-    model = AcousticModel(small_cfg, hidden=(6, 5), seed=3)
-    # make normalization and running stats nontrivial
-    model.in_mean = rng.normal(size=small_cfg.cep_dim)
-    model.in_std = rng.uniform(0.5, 2.0, small_cfg.cep_dim)
-    model.out_mean = rng.normal(size=small_cfg.cep_dim)
-    model.out_std = rng.uniform(0.5, 2.0, small_cfg.cep_dim)
-    for layer in model.layers:
-        for bn in (layer.bn_value, layer.bn_gate):
-            bn.running_mean[:] = rng.normal(size=bn.running_mean.size) * 0.3
-            bn.running_var[:] = rng.uniform(0.5, 1.5, bn.running_var.size)
-            bn.gamma[:] = rng.uniform(0.8, 1.2, bn.gamma.size)
-            bn.beta[:] = rng.normal(size=bn.beta.size) * 0.1
-    cep = rng.normal(size=small_cfg.cep_dim)
-    got = model.forward(cep)
-    want = naive_model_forward(model, cep)
-    assert np.allclose(got, want, atol=1e-10)
+    """The folded inference forward against the unit-by-unit oracle, on a
+    tiny model and at both production geometries, with a running variance
+    at 0 (batch norm's epsilon alone) and an input feature whose std sits at
+    the floor and whose value equals its mean; the production geometries
+    agree to 1e-12."""
+    for cfg, hidden in ((small_cfg, (6, 5)),
+                        (AnalysisConfig.for_rate(16000), (280, 100)),
+                        (AnalysisConfig.for_rate(48000), (840, 300))):
+        c = cfg.cep_dim
+        model = AcousticModel(cfg, hidden=hidden, seed=3)
+        # make normalization and running stats nontrivial
+        model.in_mean = rng.normal(size=c)
+        model.in_std = rng.uniform(0.5, 2.0, c)
+        model.in_std[1] = STD_FLOOR
+        model.out_mean = rng.normal(size=c)
+        model.out_std = rng.uniform(0.5, 2.0, c)
+        for layer in model.layers:
+            for bn in (layer.bn_value, layer.bn_gate):
+                bn.running_mean[:] = rng.normal(size=bn.running_mean.size) * 0.3
+                bn.running_var[:] = rng.uniform(0.5, 1.5, bn.running_var.size)
+                bn.gamma[:] = rng.uniform(0.8, 1.2, bn.gamma.size)
+                bn.beta[:] = rng.normal(size=bn.beta.size) * 0.1
+        model.layers[0].bn_gate.running_var[2] = 0.0
+        cep = rng.normal(size=(3, c))
+        cep[:, 1] = model.in_mean[1]
+        got = model.forward(cep)
+        for row in range(3):
+            want = naive_model_forward(model, cep[row])
+            assert np.allclose(got[row], want, atol=1e-10), (cfg, row)
+            # Folding rounds differently, by a few ulps; folding the floored
+            # z-score as well would cancel terms of order 1e7 here.
+            assert np.abs(got[row] - want).max() <= 1e-12, (cfg, row)
 
 
 def test_model_forward_single_and_batch_agree(small_cfg, rng):
@@ -101,6 +108,16 @@ def test_constant_model_emits_cep_d(small_cfg, rng):
     x = rng.normal(size=(7, small_cfg.cep_dim)) * 5.0
     out = model.forward(x)
     assert np.allclose(out, cep_d[None, :], atol=1e-12)
+
+
+@pytest.mark.parametrize("rate", [16000, 48000])
+def test_constant_model_forward_is_exact(rate, rng):
+    """At the default hidden sizes, the folded forward of a constant model
+    returns its differential cepstrum bit for bit, for any input."""
+    cfg = AnalysisConfig.for_rate(rate)
+    cep_d = rng.normal(size=cfg.cep_dim)
+    out = constant_model(cfg, cep_d).forward(rng.normal(size=(5, cfg.cep_dim)))
+    assert out.tobytes() == np.tile(cep_d, (5, 1)).tobytes()
 
 
 def test_model_backward_matches_finite_differences(small_cfg, rng):
