@@ -6,7 +6,7 @@ import numpy as np
 
 from .cepstral import real_cepstrum
 from .config import AnalysisConfig
-from .spectral import Waveform, _segments, frame_count, stft
+from .spectral import Waveform, _span, frame_count, stft
 
 
 def trim_silence(wave: Waveform, cfg: AnalysisConfig,
@@ -16,12 +16,10 @@ def trim_silence(wave: Waveform, cfg: AnalysisConfig,
 
     Raises on input with no energy at all (there is no reference level).
     """
-    if len(wave) == 0:
-        raise ValueError("empty waveform")
     samples = wave.samples
     hop = cfg.hop
     n_blocks = frame_count(samples.size, hop)
-    blocks = _segments(samples, hop, n_blocks)
+    blocks = _span(samples, 0, n_blocks * hop).reshape(n_blocks, hop)
     # RMS of the final partial block uses its true sample count.
     counts = np.full(n_blocks, hop)
     counts[-1] = samples.size - (n_blocks - 1) * hop

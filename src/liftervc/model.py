@@ -107,20 +107,6 @@ class GluLayer:
         gate = sigmoid(norm_g)
         return value * gate, (x, cache_v, cache_g, value, gate)
 
-    def folded(self, w_scale: float):
-        """Inference pre-activations with the running statistics, stacked:
-        x @ w.T + b is BN_v(W_v x' + b_v) beside BN_g(W_g x' + b_g) / 2 for
-        the input x' = w_scale * x, as sigmoid(z) = (1 + tanh(z/2)) / 2."""
-        n = self.b_value.size
-        w, b = np.empty((2 * n, self.w_value.shape[1])), np.empty(2 * n)
-        for rows, weight, bias, bn, half in (
-                (slice(n), self.w_value, self.b_value, self.bn_value, 1.0),
-                (slice(n, None), self.w_gate, self.b_gate, self.bn_gate, 0.5)):
-            scale = half * bn.gamma / np.sqrt(bn.running_var + BN_EPS)
-            np.multiply(weight, (w_scale * scale)[:, None], out=w[rows])
-            b[rows] = scale * (bias - bn.running_mean) + half * bn.beta
-        return w, b
-
     def backward(self, cache, gout):
         """Gradients of the two pre-activations and of the parameters; the
         model forms the input's gradient from the former only where a lower
@@ -166,16 +152,38 @@ class AcousticModel:
 
     # -- inference / training math -------------------------------------------
 
-    def forward(self, cep, train: bool = False):
+    def fold(self) -> list:
+        """Inference weights from the live parameters, one (w, b) per layer.
+        A hidden layer's x @ w.T + b is BN_v(W_v x' + b_v) beside BN_g(W_g x'
+        + b_g) / 2 with the running statistics, as sigmoid(z) = (1 + tanh(z /
+        2)) / 2. That makes each layer's output twice the GLU's, so x' = x / 2
+        past the first layer; the output layer's weights also de-normalize."""
+        weights, w_scale = [], 1.0
+        for layer in self.layers:
+            n = layer.b_value.size
+            w, b = np.empty((2 * n, layer.w_value.shape[1])), np.empty(2 * n)
+            for rows, weight, bias, bn, half in (
+                    (slice(n), layer.w_value, layer.b_value, layer.bn_value, 1.0),
+                    (slice(n, None), layer.w_gate, layer.b_gate, layer.bn_gate, 0.5)):
+                scale = half * bn.gamma / np.sqrt(bn.running_var + BN_EPS)
+                np.multiply(weight, (w_scale * scale)[:, None], out=w[rows])
+                b[rows] = scale * (bias - bn.running_mean) + half * bn.beta
+            weights.append((w, b))
+            w_scale = 0.5
+        weights.append(((w_scale * self.out_std)[:, None] * self.w_out,
+                        self.b_out * self.out_std + self.out_mean))
+        return weights
+
+    def forward(self, cep, train: bool = False, folded: list | None = None):
         """Map source cepstra (B, c) or (c,) to differential cepstra.
 
         train selects batch statistics for batch norm, folds them into the
         running statistics and returns (out, cache) for backward. Otherwise
         only out is returned, rows are independent, and each layer is a
-        matmul by weights folded from the live parameters and one tanh; its
-        output is twice the GLU's, which the next matmul halves exactly. The
-        input z-score stays unfolded: with in_std at its 1e-8 floor, 1/in_std
-        in the weights would cancel terms of order 1e8.
+        matmul by the weights of fold() (pass `folded` to reuse them across
+        batches) and one tanh. The input z-score stays unfolded: with in_std
+        at its 1e-8 floor, 1/in_std in the weights would cancel terms of
+        order 1e8.
         """
         cep = np.asarray(cep, dtype=np.float64)
         single = cep.ndim == 1
@@ -190,9 +198,8 @@ class AcousticModel:
                 caches.append(cache)
             out = (h @ self.w_out.T + self.b_out) * self.out_std + self.out_mean
             return (out[0] if single else out), (caches, h)
-        w_scale = 1.0
-        for layer in self.layers:
-            w, b = layer.folded(w_scale)
+        *layers, (w_out, b_out) = self.fold() if folded is None else folded
+        for w, b in layers:
             # Two products into the halves of z: above about 190 output
             # columns, OpenBLAS packs all of h into its work buffer, whose
             # pages then stay resident (8 bytes per input element).
@@ -205,9 +212,8 @@ class AcousticModel:
             h, gate = np.split(z, 2, axis=1)
             gate += 1.0
             h *= gate
-            w_scale = 0.5
-        out = h @ ((w_scale * self.out_std)[:, None] * self.w_out).T
-        out += self.b_out * self.out_std + self.out_mean
+        out = h @ w_out.T
+        out += b_out
         return out[0] if single else out
 
     def backward(self, cache, gout):

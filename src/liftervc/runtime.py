@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,12 +14,13 @@ from .config import SubbandGate
 from .dataset import TrainingSet
 from .filters import conversion_filters
 from .model import AcousticModel
-from .spectral import Waveform, ola_filter, stft
+from .spectral import Waveform, frame_count, ola_frames, stft
 from .training import frame_losses
 from .wavio import write_csv
 
 log = logging.getLogger(__name__)
 CUMPOW_BATCH = 512  # frames per full-length design batch in cumulative_power
+CONVERT_BLOCK_FRAMES = 128  # frames per conversion block
 
 
 def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
@@ -27,7 +30,10 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
     Per frame: analyze, estimate the differential cepstrum, design the
     filter with the model's lifter, gating the spectrum by `gate` (None:
     the model's own gate), truncate to `taps` (None: full length), then
-    overlap-add filter the waveform. The output is clamped to [-1, 1];
+    overlap-add filter the waveform. Blocks of CONVERT_BLOCK_FRAMES frames
+    take these steps on one thread per CPU the process may use; their
+    outputs are summed in frame order on the calling thread, so the result
+    does not depend on the thread count. The output is clamped to [-1, 1];
     clamped samples are counted and logged.
     """
     cfg = model.cfg
@@ -38,16 +44,30 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
         taps = cfg.fft_len
     if gate is None:
         gate = model.subband
-    spec = stft(wave, cfg)
-    cep_d = model.forward(real_cepstrum(spec, cfg))
-    filters, delay = conversion_filters(cep_d, model.lifter.coeffs, cfg, taps,
-                                        gate=gate)
-    samples = ola_filter(wave, filters, cfg, delay=delay).samples
-    clipped = int((np.abs(samples) > 1.0).sum())
+    n_frames = frame_count(len(wave), cfg.hop)
+    folded = model.fold()
+
+    def block(start: int):
+        stop = min(start + CONVERT_BLOCK_FRAMES, n_frames)
+        cep_d = model.forward(real_cepstrum(stft(wave, cfg, start, stop), cfg),
+                              folded=folded)
+        filters, delay = conversion_filters(cep_d, model.lifter.coeffs, cfg,
+                                            taps, gate=gate)
+        return ola_frames(wave.samples, filters, cfg.hop, start), delay
+
+    starts = range(0, n_frames, CONVERT_BLOCK_FRAMES)
+    workers = min(len(os.sched_getaffinity(0)), len(starts))
+    acc = np.zeros(n_frames * cfg.hop + taps - 1)
+    with ThreadPoolExecutor(workers) as pool:
+        spans = pool.map(block, starts) if workers > 1 else map(block, starts)
+        for start, (span, delay) in zip(starts, spans):
+            acc[start * cfg.hop:start * cfg.hop + span.size] += span
+    samples = acc[delay:delay + len(wave)]
+    clipped = np.count_nonzero(samples > 1.0) + np.count_nonzero(samples < -1.0)
     if clipped:
         log.warning("clamped %d of %d output samples to [-1, 1]",
                     clipped, samples.size)
-        samples = np.clip(samples, -1.0, 1.0)
+        np.clip(samples, -1.0, 1.0, out=samples)
     return Waveform(samples, wave.sample_rate)
 
 
@@ -91,8 +111,9 @@ def cumulative_power(model: AcousticModel, data: TrainingSet) -> np.ndarray:
         raise ValueError("empty evaluation set")
     cfg = model.cfg
     total = np.zeros(cfg.fft_len)
+    folded = model.fold()
     for a in range(0, len(data), CUMPOW_BATCH):
-        cep_d = model.forward(data.src_cep[a:a + CUMPOW_BATCH])
+        cep_d = model.forward(data.src_cep[a:a + CUMPOW_BATCH], folded=folded)
         filters, delay = conversion_filters(cep_d, model.lifter.coeffs, cfg,
                                             cfg.fft_len, model.subband)
         filters = np.roll(filters, -delay, axis=1)

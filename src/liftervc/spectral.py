@@ -35,7 +35,9 @@ class Waveform:
 
 
 def frame_count(n_samples: int, hop: int) -> int:
-    """Number of analysis frames covering n_samples at the given hop."""
+    """Number of analysis frames covering n_samples (> 0) at the given hop."""
+    if n_samples == 0:
+        raise ValueError("empty waveform")
     return -(-n_samples // hop)
 
 
@@ -47,27 +49,28 @@ def analysis_window(cfg: AnalysisConfig) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / cfg.window_len)
 
 
-def stft(wave: Waveform, cfg: AnalysisConfig) -> np.ndarray:
-    """Short-time Fourier transform.
+def stft(wave: Waveform, cfg: AnalysisConfig, start: int = 0,
+         stop: int | None = None) -> np.ndarray:
+    """Short-time Fourier transform, frames start..stop-1 (stop None: all).
 
     Frame t covers samples [t*hop, t*hop + window_len); frames are windowed,
     zero-padded to fft_len, and transformed. The signal tail is zero-padded
     so the final partial frame is still analyzed.
 
-    Returns the half spectra, shape (frame_count, fft_len // 2 + 1): the
+    Returns the half spectra, shape (stop - start, fft_len // 2 + 1): the
     input is real, so the bins above fft_len / 2 mirror those below.
     """
     if wave.sample_rate != cfg.sample_rate:
         raise ValueError(
             f"sample rate {wave.sample_rate} does not match config {cfg.sample_rate}")
-    n = len(wave)
-    if n == 0:
-        raise ValueError("empty waveform")
-    n_frames = frame_count(n, cfg.hop)
-    padded = np.zeros((n_frames - 1) * cfg.hop + cfg.window_len)
-    padded[:n] = wave.samples
+    n_frames = frame_count(len(wave), cfg.hop)
+    stop = n_frames if stop is None else stop
+    if not 0 <= start < stop <= n_frames:
+        raise ValueError(f"frame range must lie in 0..{n_frames}")
+    span = _span(wave.samples, start * cfg.hop,
+                 (stop - 1) * cfg.hop + cfg.window_len)
     frames = np.lib.stride_tricks.sliding_window_view(
-        padded, cfg.window_len)[::cfg.hop]
+        span, cfg.window_len)[::cfg.hop]
     frames = frames * analysis_window(cfg)
     return np.fft.rfft(frames, n=cfg.fft_len, axis=1)
 
@@ -78,10 +81,12 @@ def bin_weights(n: int) -> np.ndarray:
     return np.where(2 * np.arange(n // 2 + 1) % n == 0, 1.0, 2.0)
 
 
-def _segments(samples: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
-    seg = np.zeros(n_frames * hop)
-    seg[:samples.size] = samples
-    return seg.reshape(n_frames, hop)
+def _span(samples: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """samples[lo:hi], zero-padded at the end to hi - lo samples."""
+    out = np.zeros(hi - lo)
+    part = samples[lo:hi]
+    out[:part.size] = part
+    return out
 
 
 def _ola_direct(seg: np.ndarray, filters: np.ndarray) -> np.ndarray:
@@ -111,25 +116,30 @@ def _ola_fft(seg: np.ndarray, filters: np.ndarray) -> np.ndarray:
     for lo in reversed(range(0, out_len, hop)):
         chunk = blocks[:, lo:lo + hop]
         acc[lo:lo + n_frames * hop].reshape(n_frames, hop)[:, :chunk.shape[1]] += chunk
-    return acc
+    return acc[:n_frames * hop + taps - 1]
+
+
+def ola_frames(samples: np.ndarray, filters: np.ndarray, hop: int,
+               start: int = 0) -> np.ndarray:
+    """ola_filter's untrimmed output for frames start.. start + len(filters)
+    - 1: len(filters) * hop + taps - 1 samples from sample start * hop on."""
+    n_frames = filters.shape[0]
+    seg = _span(samples, start * hop, (start + n_frames) * hop)
+    ola = _ola_fft if filters.shape[1] > FFT_CONV_THRESHOLD else _ola_direct
+    return ola(seg.reshape(n_frames, hop), filters)
 
 
 def ola_filter(wave: Waveform, filters: np.ndarray, cfg: AnalysisConfig,
                delay: int = 0) -> Waveform:
     """Filter a waveform with one FIR filter per analysis frame.
 
-    The signal is split into consecutive hop-length blocks (block t starting
-    at t*hop), each block is convolved with its frame's filter, and the
-    convolution tails are overlap-added at the original offsets. Each input
-    sample is therefore filtered exactly once. The output is trimmed back to
-    the input length.
-
+    Hop-length block t (from sample t*hop) is convolved with frame t's
+    filter and the tails are overlap-added, so each sample is filtered once.
     Filters longer than FFT_CONV_THRESHOLD taps use block FFT convolution,
-    shorter ones the per-tap multiply-add; both paths agree to within 1e-8.
-
-    delay drops that many leading output samples instead of trailing ones,
-    compensating filters whose nominal time origin sits `delay` taps into
-    their impulse response.
+    shorter ones the per-tap multiply-add; both agree to within 1e-8. The
+    output is trimmed to the input length by dropping `delay` leading
+    samples, for filters whose time origin sits `delay` taps in, and the
+    rest from the tail.
     """
     filters = np.atleast_2d(np.asarray(filters, dtype=np.float64))
     n = len(wave)
@@ -142,6 +152,5 @@ def ola_filter(wave: Waveform, filters: np.ndarray, cfg: AnalysisConfig,
         raise ValueError(f"filter length must be in 1..{cfg.fft_len}")
     if not 0 <= delay < taps:
         raise ValueError("delay must be smaller than the filter length")
-    ola = _ola_fft if taps > FFT_CONV_THRESHOLD else _ola_direct
-    acc = ola(_segments(wave.samples, cfg.hop, n_frames), filters)
+    acc = ola_frames(wave.samples, filters, cfg.hop)
     return Waveform(acc[delay:delay + n].copy(), wave.sample_rate)

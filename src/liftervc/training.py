@@ -64,15 +64,17 @@ def frame_losses(model: AcousticModel, data: TrainingSet,
     conventional additive estimate (source plus predicted differential).
     """
     losses = np.empty(len(data))
+    folded = model.fold()
     for a in range(0, len(data), LOSS_BATCH):
         rows = slice(a, a + LOSS_BATCH)
         x, tgt = data.src_cep[rows], data.tgt_cep[rows]
+        cep_d = model.forward(x, folded=folded)
         if taps is None:
-            err = x + model.forward(x) - tgt
+            err = x + cep_d - tgt
             losses[rows] = (err * err).sum(axis=1)
         else:
             losses[rows] = chain_forward(
-                model.forward(x), model.lifter.coeffs, data.src_spec[rows],
+                cep_d, model.lifter.coeffs, data.src_spec[rows],
                 tgt, taps, model.cfg, gate=model.subband).frame_losses
     return losses
 

@@ -6,6 +6,7 @@ path enumeration instead of dynamic programming. None of it calls into the
 package's own transform or filtering code paths.
 """
 
+import functools
 import itertools
 import math
 
@@ -15,24 +16,25 @@ from liftervc.cepstral import MAG_FLOOR
 from liftervc.model import BN_EPS
 
 
-def naive_dft(x):
-    """O(N^2) forward DFT of a single vector via the exponential matrix.
-    The exponent k*j is reduced mod N first, so the phases stay exact to
-    rounding at N in the thousands."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.size
+@functools.lru_cache(maxsize=8)
+def _dft_matrix(n, sign):
+    """The n-point DFT matrix exp(sign * 2j*pi*k*j/n). The exponent k*j is
+    reduced mod n first, so the phases stay exact to rounding at n in the
+    thousands."""
     k = np.arange(n)
-    mat = np.exp(-2j * np.pi * (np.outer(k, k) % n) / n)
-    return mat @ x
+    return np.exp(sign * 2j * np.pi * (np.outer(k, k) % n) / n)
+
+
+def naive_dft(x):
+    """O(N^2) forward DFT of a single vector via the exponential matrix."""
+    x = np.asarray(x, dtype=np.complex128)
+    return _dft_matrix(x.size, -1) @ x
 
 
 def naive_idft(x):
     """O(N^2) inverse DFT of a single vector."""
     x = np.asarray(x, dtype=np.complex128)
-    n = x.size
-    k = np.arange(n)
-    mat = np.exp(2j * np.pi * (np.outer(k, k) % n) / n)
-    return mat @ x / n
+    return _dft_matrix(x.size, 1) @ x / x.size
 
 
 def full_spectrum(half, n):
@@ -200,3 +202,17 @@ def naive_real_cepstrum(frames, cfg):
         log_mag = np.log(np.maximum(np.abs(row), MAG_FLOOR))
         out.append(naive_idft(log_mag).real[:cfg.cep_dim])
     return np.array(out)
+
+
+def naive_convert(samples, model, taps, gate=None):
+    """Frame-by-frame conversion: analysis, cepstrum, the unit-by-unit
+    network, the DFT design (rotated by the onset delay when gated) and the
+    per-frame overlap-add, which drops the delay's leading samples; the
+    result is clamped to [-1, 1]."""
+    cfg = model.cfg
+    spectra = naive_stft(samples, cfg)
+    filters = [naive_design(naive_model_forward(model, cep),
+                            model.lifter.coeffs, cfg, taps, gate)
+               for cep in naive_real_cepstrum(spectra, cfg)]
+    delay = 0 if gate is None else min(cfg.fft_len // 4, taps // 2)
+    return np.clip(naive_ola(samples, filters, cfg.hop, delay), -1.0, 1.0)

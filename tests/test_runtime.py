@@ -1,13 +1,48 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liftervc import (MAG_FLOOR, AnalysisConfig, Lifter, SubbandGate,
-                      TrainingSet, Waveform, chain_forward, constant_model,
-                      conversion_filters, convert, cumulative_power,
-                      default_differential, eval_rmse, power_threshold_tap)
+from liftervc import (MAG_FLOOR, AcousticModel, AnalysisConfig, Lifter,
+                      SubbandGate, TrainingSet, Waveform, chain_forward,
+                      constant_model, conversion_filters, convert,
+                      cumulative_power, default_differential, eval_rmse,
+                      power_threshold_tap, runtime)
+from liftervc.spectral import FFT_CONV_THRESHOLD
 from liftervc.synthetic import build_sweep_data, make_pair, synth_source
 
-from naive import naive_ola
+from naive import naive_convert, naive_ola
+
+BLOCK = runtime.CONVERT_BLOCK_FRAMES
+# fft_len above FFT_CONV_THRESHOLD, so full-length filters take the FFT path.
+ORACLE_CFG = AnalysisConfig(sample_rate=16000, window_len=96, hop=32,
+                            fft_len=128, cep_dim=8)
+ORACLE_GATE = SubbandGate(crossover_hz=3000.0, steepness_hz=300.0)
+
+
+def random_model(cfg, seed):
+    """A small network with nontrivial normalization and batch-norm
+    statistics, so every frame gets its own filter."""
+    rng = np.random.default_rng(seed)
+    c = cfg.cep_dim
+    model = AcousticModel(cfg, hidden=(4, 3), seed=seed)
+    model.in_mean = rng.normal(size=c)
+    model.in_std = rng.uniform(0.5, 2.0, c)
+    model.out_mean = rng.normal(size=c) * 0.1
+    model.out_std = rng.uniform(0.05, 0.2, c)
+    for layer in model.layers:
+        for bn in (layer.bn_value, layer.bn_gate):
+            bn.running_mean[:] = rng.normal(size=bn.running_mean.size) * 0.3
+            bn.running_var[:] = rng.uniform(0.5, 1.5, bn.running_var.size)
+    return model
+
+
+def cpus(monkeypatch, count):
+    """Make convert see `count` CPUs, so it runs that many workers."""
+    monkeypatch.setattr(runtime.os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
 
 
 def test_convert_zero_differential_is_identity(small_cfg, rng):
@@ -168,3 +203,96 @@ def test_cumulative_power_counts_from_the_time_origin():
     assert np.allclose(gated, cum / cum[-1], rtol=0.0, atol=1e-12)
     assert gated[-1] == pytest.approx(1.0)
     assert power_threshold_tap(gated, 0.95) == power_threshold_tap(ungated, 0.95)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.one_of(
+           st.integers(1, 3 * BLOCK * ORACLE_CFG.hop + 1),
+           st.builds(lambda k, d: k * BLOCK * ORACLE_CFG.hop + d,
+                     st.integers(1, 3), st.sampled_from((-1, 0, 1)))),
+       taps=st.sampled_from((1, 17, FFT_CONV_THRESHOLD, FFT_CONV_THRESHOLD + 1,
+                             ORACLE_CFG.fft_len)),
+       gated=st.booleans(), seed=st.integers(0, 2**31))
+def test_convert_matches_the_per_frame_oracle(n, taps, gated, seed):
+    """From one sample to several blocks, at exactly k blocks of frames and
+    one sample either side, on both sides of FFT_CONV_THRESHOLD, gated and
+    ungated: the blocked conversion equals frame-by-frame conversion."""
+    model = random_model(ORACLE_CFG, seed % 1000)
+    model.subband = ORACLE_GATE if gated else None
+    x = np.random.default_rng(seed).normal(size=n) * 0.1
+    got = convert(Waveform(x, ORACLE_CFG.sample_rate), model, taps=taps).samples
+    want = naive_convert(x, model, taps, model.subband)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("taps", [16, ORACLE_CFG.fft_len])
+def test_convert_is_bit_identical_across_worker_counts(monkeypatch, taps):
+    model = random_model(ORACLE_CFG, 5)
+    model.subband = ORACLE_GATE
+    x = np.random.default_rng(5).normal(size=(4 * BLOCK + 3) * ORACLE_CFG.hop)
+    wave = Waveform(x * 0.1, ORACLE_CFG.sample_rate)
+    outputs = []
+    for count in (1, 2, 3):
+        cpus(monkeypatch, count)
+        outputs.append(convert(wave, model, taps=taps).samples)
+    assert all(np.array_equal(outputs[0], out) for out in outputs[1:])
+
+
+def test_convert_leaves_no_thread_behind(monkeypatch):
+    cpus(monkeypatch, 2)
+    model = random_model(ORACLE_CFG, 6)
+    wave = Waveform(np.random.default_rng(6).normal(size=5 * BLOCK * 32) * 0.1,
+                    ORACLE_CFG.sample_rate)
+    before = threading.active_count()
+    convert(wave, model)
+    assert threading.active_count() == before
+
+
+class BlockFailure(Exception):
+    pass
+
+
+def test_convert_reraises_a_block_error(monkeypatch):
+    """An error inside one block reaches the caller as itself, and the
+    workers are gone when it does."""
+    cpus(monkeypatch, 2)
+    design = runtime.conversion_filters
+
+    def failing(cep_d, *args, **kwargs):
+        if len(cep_d) < BLOCK:  # the last, partial block
+            raise BlockFailure("design failed in the last block")
+        return design(cep_d, *args, **kwargs)
+
+    monkeypatch.setattr(runtime, "conversion_filters", failing)
+    model = random_model(ORACLE_CFG, 7)
+    wave = Waveform(np.zeros((3 * BLOCK + 1) * ORACLE_CFG.hop),
+                    ORACLE_CFG.sample_rate)
+    before = threading.active_count()
+    with pytest.raises(BlockFailure, match="^design failed in the last block$"):
+        convert(wave, model)
+    assert threading.active_count() == before
+
+
+def test_convert_memory_is_bounded_by_the_block(monkeypatch):
+    """Traced peak of a gated full-length 48 kHz conversion with two
+    workers: under 64 MB for 16 s of audio, and under 40 bytes more per
+    added input sample from 4 s to 16 s (whole-file conversion needed
+    about 430)."""
+    cpus(monkeypatch, 2)
+    cfg = AnalysisConfig.for_rate(48000)
+    model = constant_model(cfg, default_differential(cfg))
+    model.subband = SubbandGate()
+    rng = np.random.default_rng(8)
+    peaks = {}
+    for seconds in (4, 16):
+        wave = Waveform(rng.uniform(-0.05, 0.05, seconds * cfg.sample_rate),
+                        cfg.sample_rate)
+        tracemalloc.start()
+        try:
+            convert(wave, model)
+            peaks[seconds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] < 64e6
+    assert (peaks[16] - peaks[4]) / (12 * cfg.sample_rate) < 40.0
