@@ -154,10 +154,10 @@ class AcousticModel:
 
     def fold(self) -> list:
         """Inference weights from the live parameters, one (w, b) per layer.
-        A hidden layer's x @ w.T + b is BN_v(W_v x' + b_v) beside BN_g(W_g x'
-        + b_g) / 2 with the running statistics, as sigmoid(z) = (1 + tanh(z /
-        2)) / 2. That makes each layer's output twice the GLU's, so x' = x / 2
-        past the first layer; the output layer's weights also de-normalize."""
+        For a hidden layer, x @ w.T + b stacks BN_v(W_v x' + b_v) above
+        BN_g(W_g x' + b_g) / 2 with the running statistics, since sigmoid(z)
+        = (1 + tanh(z / 2)) / 2. Each layer's output is then twice the GLU's,
+        so x' = x / 2 past the first; the output layer also de-normalizes."""
         weights, w_scale = [], 1.0
         for layer in self.layers:
             n = layer.b_value.size

@@ -121,8 +121,8 @@ def _ola_fft(seg: np.ndarray, filters: np.ndarray) -> np.ndarray:
 
 def ola_frames(samples: np.ndarray, filters: np.ndarray, hop: int,
                start: int = 0) -> np.ndarray:
-    """ola_filter's untrimmed output for frames start.. start + len(filters)
-    - 1: len(filters) * hop + taps - 1 samples from sample start * hop on."""
+    """ola_filter's untrimmed output over frames start, start + 1, ..., one
+    per filter row: len(filters) * hop + taps - 1 samples from start * hop."""
     n_frames = filters.shape[0]
     seg = _span(samples, start * hop, (start + n_frames) * hop)
     ola = _ola_fft if filters.shape[1] > FFT_CONV_THRESHOLD else _ola_direct
