@@ -6,8 +6,9 @@ Runs prep, pretrain, then train-lifter, eval, cumpow and convert once
 ungated and once with the sub-band gate in the run config (the tuned model
 carries it to eval, cumpow and convert), then
 `run_synthetic_experiment.py --quick`, all in a scratch directory, and
-prints one `sha256  name` line per artifact: dataset arrays, model files,
-the loss columns of the training logs, eval, cumpow, sweep, lifter and
+prints one `sha256  name` line per artifact: dataset arrays, model files
+(two lines each: the config document and the parameter bytes), the loss
+columns of the training logs, eval, cumpow, sweep, lifter and
 cumulative-power CSVs and converted WAVs. Running it at two commits and
 diffing the printouts shows whether a change kept every output bit for bit:
 
@@ -29,12 +30,13 @@ import numpy as np
 
 from liftervc import AnalysisConfig
 from liftervc.cli import main as cli
+from liftervc.model import MAGIC
 from liftervc.synthetic import make_corpus
 
 import run_synthetic_experiment
 
 TAPS = 12
-GATE = {"enabled": True, "crossover_hz": 4000.0, "steepness_hz": 500.0}
+GATE = {"crossover_hz": 4000.0, "steepness_hz": 500.0}
 
 
 def run(*argv) -> None:
@@ -53,6 +55,18 @@ def loss_columns(path: Path) -> bytes:
     with open(path, newline="") as fh:
         rows = [row[:-1] for row in csv.reader(fh)]
     return "\n".join(",".join(r) for r in rows).encode()
+
+
+def model_digests(out: dict, name: str, path: Path) -> None:
+    """A model file as two lines: its config document, parsed and dumped
+    again with sorted keys, and the parameter bytes after it. A config key
+    that comes or goes changes only the first line."""
+    raw = path.read_bytes()
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(raw[start - 4:start], "little")
+    doc = json.loads(raw[start:end])
+    out[f"{name}:config"] = digest(json.dumps(doc, sort_keys=True).encode())
+    out[f"{name}:params"] = digest(raw[end:])
 
 
 def main(argv=None) -> int:
@@ -75,7 +89,7 @@ def main(argv=None) -> int:
         with np.load(work / f"{split}.npz") as data:
             for key in sorted(data.files):
                 out[f"{split}.npz:{key}"] = digest(data[key].tobytes())
-    out["model.lvc"] = digest((work / "model.lvc").read_bytes())
+    model_digests(out, "model.lvc", work / "model.lvc")
     out["pretrain_log"] = digest(loss_columns(work / "pretrain_log.csv"))
 
     for name, gate in (("ungated", None), ("gated", GATE)):
@@ -98,7 +112,7 @@ def main(argv=None) -> int:
         for taps in (TAPS, cfg.fft_len):
             run("convert", "--model", tuned, "--in", work / "test_000_src.wav",
                 "--out", run_dir / f"out_{taps}.wav", "--taps", taps)
-        out[f"{name}/model.l{TAPS}.lvc"] = digest(tuned.read_bytes())
+        model_digests(out, f"{name}/model.l{TAPS}.lvc", tuned)
         out[f"{name}/train_lifter_log"] = digest(
             loss_columns(run_dir / f"train_lifter_log_l{TAPS}.csv"))
         for f in (f"lifter_l{TAPS}.csv", "eval.csv", "cumpow.csv",

@@ -31,10 +31,9 @@ def real_cepstrum(frames: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
 
 @dataclass
 class Lifter:
-    """Quefrency weighting of length cep_dim; trainable once fine-tuned."""
+    """Quefrency weighting of length cep_dim; fine-tuning trains it."""
 
     coeffs: np.ndarray
-    trainable: bool = False
 
     def __post_init__(self) -> None:
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)

@@ -18,7 +18,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import RunConfig
+from .config import SPLITS, RunConfig
 from .dataset import TrainingSet, build_dataset
 from .model import AcousticModel, load_model, save_model
 from .runtime import (convert, cumulative_power, eval_rmse, power_threshold_tap,
@@ -29,7 +29,7 @@ from .wavio import wav_read, wav_write
 
 def _dataset_paths(run: RunConfig) -> dict:
     out = Path(run.output_dir)
-    return {split: out / f"{split}.npz" for split in ("train", "val", "test")}
+    return {split: out / f"{split}.npz" for split in SPLITS}
 
 
 def _load_split(run: RunConfig, split: str) -> TrainingSet:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 NARROW_BAND_RATE = 16000
 FULL_BAND_RATE = 48000
+SPLITS = ("train", "val", "test")  # the run config's data lists
 _TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
@@ -66,16 +67,12 @@ class AnalysisConfig:
     def for_rate(cls, sample_rate: int, **overrides) -> "AnalysisConfig":
         """Standard settings for 16 kHz (512-point FFT, 40 cepstra) or
         48 kHz (2048-point FFT, 120 cepstra); both use 25 ms / 5 ms frames."""
-        if sample_rate == NARROW_BAND_RATE:
-            base = dict(sample_rate=sample_rate, window_len=400, hop=80,
-                        fft_len=512, cep_dim=40)
-        elif sample_rate == FULL_BAND_RATE:
-            base = dict(sample_rate=sample_rate, window_len=1200, hop=240,
-                        fft_len=2048, cep_dim=120)
-        else:
+        if sample_rate not in (NARROW_BAND_RATE, FULL_BAND_RATE):
             raise ValueError(f"no standard settings for {sample_rate} Hz")
-        base.update(overrides)
-        return cls(**base)
+        if sample_rate == FULL_BAND_RATE:  # the defaults are the 16 kHz ones
+            overrides = dict(window_len=1200, hop=240, fft_len=2048,
+                             cep_dim=120, **overrides)
+        return cls(**{"sample_rate": sample_rate, **overrides})
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ class RunConfig:
             raise ValueError("taps must not exceed fft_len")
         if self.subband is not None:
             self.subband.check_below_nyquist(self.analysis)
-        for split in ("train", "val", "test"):
+        for split in SPLITS:
             for pair in getattr(self, f"{split}_pairs"):
                 if len(pair) != 2 or not all(isinstance(p, str) for p in pair):
                     raise ValueError(f"each data.{split} entry must be a [source, "
@@ -164,43 +161,28 @@ class RunConfig:
         WAV file exists. Keys left out take the dataclass defaults; unknown
         keys are rejected in every section."""
         raw = json.loads(Path(path).read_text())
-        _reject_unknown(raw, ("analysis", "train", "data", "model_file",
-                              "output_dir", "silence_threshold_db", "subband"),
+        lists = {f"{split}_pairs" for split in SPLITS}  # written under "data"
+        _reject_unknown(raw, {f.name for f in fields(cls)} - lists | {"data"},
                         "config")
         data = raw.pop("data", {})
-        _reject_unknown(data, ("train", "val", "test"), "data")
-        sub = dict(raw.pop("subband", {}))
-        enabled = sub.pop("enabled", False)
-        if not isinstance(enabled, bool):
-            raise TypeError(f"subband.enabled must be bool, got {enabled!r}")
-        gate = SubbandGate(**sub)  # checked even when disabled
+        _reject_unknown(data, SPLITS, "data")
+        sub = raw.pop("subband", None)
         cfg = cls(analysis=AnalysisConfig(**raw.pop("analysis", {})),
                   train=TrainConfig(**raw.pop("train", {})),
-                  subband=gate if enabled else None,
+                  subband=None if sub is None else SubbandGate(**sub),
                   **{f"{split}_pairs": [tuple(p) for p in pairs]
                      for split, pairs in data.items()},
                   **raw)
         if check_paths:
-            missing = [p for pairs in (cfg.train_pairs, cfg.val_pairs, cfg.test_pairs)
-                       for pair in pairs for p in pair if not Path(p).exists()]
+            missing = [p for split in SPLITS
+                       for pair in getattr(cfg, f"{split}_pairs")
+                       for p in pair if not Path(p).exists()]
             if missing:
                 raise FileNotFoundError(f"missing data files: {missing[:4]}"
                                         + (" ..." if len(missing) > 4 else ""))
         return cfg
 
     def to_json(self, path) -> None:
-        doc = {
-            "analysis": asdict(self.analysis),
-            "train": asdict(self.train),
-            "data": {
-                "train": [list(p) for p in self.train_pairs],
-                "val": [list(p) for p in self.val_pairs],
-                "test": [list(p) for p in self.test_pairs],
-            },
-            "model_file": self.model_file,
-            "output_dir": self.output_dir,
-            "silence_threshold_db": self.silence_threshold_db,
-            "subband": {"enabled": self.subband is not None,
-                        **asdict(self.subband or SubbandGate())},
-        }
+        doc = asdict(self)
+        doc["data"] = {split: doc.pop(f"{split}_pairs") for split in SPLITS}
         Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

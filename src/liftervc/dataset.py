@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -24,13 +24,11 @@ class TrainingSet:
     src_cep: np.ndarray
     tgt_cep: np.ndarray
     src_spec: np.ndarray
-    offsets: np.ndarray = field(default=None)
+    offsets: np.ndarray
 
     def __post_init__(self) -> None:
         if not (len(self.src_cep) == len(self.tgt_cep) == len(self.src_spec)):
             raise ValueError("frame arrays must have equal length")
-        if self.offsets is None:
-            self.offsets = np.array([0, len(self.src_cep)], dtype=np.intp)
         self.offsets = np.asarray(self.offsets, dtype=np.intp)
         if self.offsets[0] != 0 or self.offsets[-1] != len(self.src_cep):
             raise ValueError("offsets must start at 0 and end at frame count")
@@ -47,9 +45,7 @@ class TrainingSet:
 
     def save(self, path, cfg: AnalysisConfig) -> None:
         meta = json.dumps(asdict(cfg), sort_keys=True)
-        np.savez(path, src_cep=self.src_cep, tgt_cep=self.tgt_cep,
-                 src_spec=self.src_spec, offsets=self.offsets,
-                 meta=np.array(meta))
+        np.savez(path, **vars(self), meta=np.array(meta))
 
     @classmethod
     def load(cls, path, cfg: AnalysisConfig | None = None
@@ -59,8 +55,7 @@ class TrainingSet:
             if cfg is not None and meta != cfg:
                 raise ValueError(
                     f"dataset analysis config {meta} does not match expected {cfg}")
-            ts = cls(src_cep=data["src_cep"], tgt_cep=data["tgt_cep"],
-                     src_spec=data["src_spec"], offsets=data["offsets"])
+            ts = cls(**{f.name: data[f.name] for f in fields(cls)})
         return ts, meta
 
 

@@ -272,15 +272,14 @@ class AcousticModel:
         return copy.deepcopy(self)
 
 
-def constant_model(cfg: AnalysisConfig, cep_d: np.ndarray,
-                   hidden: tuple | None = None) -> AcousticModel:
+def constant_model(cfg: AnalysisConfig, cep_d: np.ndarray) -> AcousticModel:
     """A model that emits the fixed differential cepstrum cep_d for any input.
 
     All weights are zero, so the GLU output vanishes and the de-normalization
     offset carries the constant. Useful for identity checks and synthetic
     tasks with a known answer.
     """
-    model = AcousticModel(cfg, hidden=hidden, seed=0)
+    model = AcousticModel(cfg, seed=0)
     for layer in model.layers:
         layer.w_value[:] = 0.0
         layer.w_gate[:] = 0.0
@@ -326,7 +325,6 @@ def _config_block(model: AcousticModel) -> bytes:
     doc = {
         **asdict(model.cfg),
         "hidden": list(model.hidden),
-        "lifter_trainable": bool(model.lifter.trainable),
         "subband": asdict(model.subband) if model.subband else None,
         "bn_eps": BN_EPS,
         "bn_momentum": BN_MOMENTUM,
@@ -367,6 +365,8 @@ def load_model(path, expected_cfg: AnalysisConfig | None = None) -> AcousticMode
         gate = None if sub is None else SubbandGate(**sub)
         if gate is not None:
             gate.check_below_nyquist(cfg)
+        if doc["bn_eps"] != BN_EPS:  # fold() and forward() divide by BN_EPS
+            raise ValueError(f"bn_eps {doc['bn_eps']!r} is not {BN_EPS}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelFileError(f"corrupt model file (bad config: {exc})") from exc
     if expected_cfg is not None and cfg != expected_cfg:
@@ -386,7 +386,6 @@ def load_model(path, expected_cfg: AnalysisConfig | None = None) -> AcousticMode
                              f"bytes, its config implies {expected})")
 
     model = AcousticModel(cfg, hidden=hidden, seed=0)
-    model.lifter.trainable = bool(doc.get("lifter_trainable", False))
     model.subband = gate
     for name, arr in model.param_entries():
         values = np.frombuffer(data, dtype="<f8", count=arr.size, offset=offset)

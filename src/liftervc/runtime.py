@@ -56,7 +56,9 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
         return ola_frames(wave.samples, filters, cfg.hop, start), delay
 
     starts = range(0, n_frames, CONVERT_BLOCK_FRAMES)
-    workers = min(len(os.sched_getaffinity(0)), len(starts))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # no affinity call on macOS or Windows
+    workers = min(cpus, len(starts))
     acc = np.zeros(n_frames * cfg.hop + taps - 1)
     with ThreadPoolExecutor(workers) as pool:
         spans = pool.map(block, starts) if workers > 1 else map(block, starts)

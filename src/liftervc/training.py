@@ -155,9 +155,9 @@ def train_lifter(model: AcousticModel, data: TrainingSet, cfg: TrainConfig,
     chain at cfg.taps, gated by the model's gate.
 
     The model should be pretrained and its lifter initialized to the
-    minimum-phase prefix; training marks the lifter trainable and updates it
-    together with the network by Adam. The reported rmse is the root of the
-    validation chain loss at cfg.taps.
+    minimum-phase prefix; training updates it together with the network by
+    Adam. The reported rmse is the root of the validation chain loss at
+    cfg.taps.
     """
     def step(idx):
         result, grads = chain_gradients(
@@ -165,9 +165,7 @@ def train_lifter(model: AcousticModel, data: TrainingSet, cfg: TrainConfig,
             cfg.taps)
         return float(result.frame_losses.sum()), grads
 
-    log = _run_epochs(
+    return _run_epochs(
         data, val_data, cfg, model.trainable_entries(include_lifter=True),
         cfg.finetune_lr, step,
         lambda val: float(frame_losses(model, val, cfg.taps).mean()))
-    model.lifter.trainable = True
-    return log

@@ -106,7 +106,7 @@ def test_aligned_pair_validates_lengths():
     unequal length."""
     with pytest.raises(ValueError, match="equal length"):
         TrainingSet(np.zeros((3, 4)), np.zeros((2, 4)),
-                    np.zeros((3, 8), dtype=complex))
+                    np.zeros((3, 8), dtype=complex), [0, 3])
 
 
 def test_align_pair_time_shift(small_cfg, rng):

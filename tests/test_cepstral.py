@@ -20,7 +20,6 @@ def test_lifter_for_config_truncates(small_cfg):
     assert u.coeffs.shape == (small_cfg.cep_dim,)
     assert u.coeffs[0] == 1.0
     assert np.all(u.coeffs[1:] == 2.0)
-    assert not u.trainable
 
 
 def test_lifter_validates_coeffs():

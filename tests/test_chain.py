@@ -133,7 +133,6 @@ def test_model_in_the_loop_gradients(small_cfg, rng, gate):
     differences of the same training-mode composition."""
     model = AcousticModel(small_cfg, hidden=(5, 4), seed=2)
     model.out_std[:] = rng.uniform(0.5, 1.5, small_cfg.cep_dim)
-    model.lifter.trainable = True
     model.subband = gate
     _, _, spec_x, tgt = random_instance(small_cfg, rng)
     cep_x = real_cepstrum(spec_x, small_cfg) * 2.0

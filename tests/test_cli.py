@@ -80,8 +80,6 @@ def test_full_workflow(workspace, capsys):
     assert len(lifter_csv) == 1 + 8
     first = lifter_csv[1].split(",")
     assert first[0] == "0" and float(first[1]) != 0.0 and float(first[2]) == 1.0
-    tuned = load_model(tuned_path)
-    assert tuned.lifter.trainable
 
     src = workspace / "test_000_src.wav"
     converted = workspace / "converted.wav"
@@ -182,8 +180,7 @@ def gated_run(pretrained, tmp_path, files=("model.lvc", "train.npz",
         shutil.copy(pretrained / name, tmp_path / name)
     doc = json.loads((pretrained / "config.json").read_text())
     doc.update(model_file=str(tmp_path / "model.lvc"), output_dir=str(tmp_path),
-               subband={"enabled": True, "crossover_hz": 4000.0,
-                        "steepness_hz": 500.0})
+               subband={"crossover_hz": 4000.0, "steepness_hz": 500.0})
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     return config, doc
@@ -253,7 +250,7 @@ def test_pretrain_stores_the_gate_that_convert_applies(workspace, pretrained,
     ("train", "taps", 12.5, "TrainConfig.taps"),
     ("train", "epochs", 2.5, "TrainConfig.epochs"),
     ("analysis", "fft_len", "512", "AnalysisConfig.fft_len"),
-    ("subband", "enabled", "false", "subband.enabled"),
+    ("subband", "enabled", False, "'enabled'"),
     ("train", "pretrain_lr", float("nan"), "TrainConfig.pretrain_lr"),
     ("train", "finetune_lr", float("inf"), "TrainConfig.finetune_lr"),
     ("subband", "crossover_hz", float("nan"), "SubbandGate.crossover_hz"),
@@ -261,7 +258,8 @@ def test_pretrain_stores_the_gate_that_convert_applies(workspace, pretrained,
 def test_config_values_are_type_checked(tmp_path, capsys, section, key,
                                         value, name):
     """A config value of the wrong type, or a NaN or infinite real, fails
-    as the config loads, with a one-line error that names the field."""
+    as the config loads, with a one-line error that names the field. The
+    gate has no `enabled` key: a config that sets one fails the same way."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({section: {key: value},
                                   "output_dir": str(tmp_path),
@@ -301,8 +299,8 @@ def test_run_config_fields_are_type_checked(tmp_path, capsys, key, value,
 
 def test_train_lifter_rejects_gate_in_training_key(workspace, tmp_path,
                                                    capsys):
-    """train.gate_in_training no longer exists: the gate follows
-    subband.enabled, and a config that still sets the key is refused."""
+    """train.gate_in_training no longer exists: the gate is the config's
+    subband, and a config that still sets the key is refused."""
     doc = json.loads((workspace / "config.json").read_text())
     doc["train"]["gate_in_training"] = True
     config = tmp_path / "config.json"

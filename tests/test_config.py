@@ -78,8 +78,7 @@ def test_run_config_document_roundtrip(tmp_path):
         "model_file": "m.lvc",
         "output_dir": "results",
         "silence_threshold_db": 30.0,
-        "subband": {"enabled": True, "crossover_hz": 6000.0,
-                    "steepness_hz": 150.0},
+        "subband": {"crossover_hz": 6000.0, "steepness_hz": 150.0},
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -88,21 +87,18 @@ def test_run_config_document_roundtrip(tmp_path):
 
 
 def test_run_config_disabled_gate_is_none(tmp_path):
+    """The gate is written as in the model file: absent or null for none,
+    else its parameters, with {} for the defaults."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"subband": {"enabled": False,
-                                            "crossover_hz": 4000.0}}))
-    assert RunConfig.from_json(path).subband is None
+    for doc in ({}, {"subband": None}):
+        path.write_text(json.dumps(doc))
+        assert RunConfig.from_json(path).subband is None
     path.write_text(json.dumps({"analysis": {"sample_rate": 48000},
-                                "subband": {"enabled": True}}))
+                                "subband": {}}))
     assert RunConfig.from_json(path).subband == SubbandGate()
     # At 16 kHz the default 8 kHz crossover sits at Nyquist.
-    path.write_text(json.dumps({"subband": {"enabled": True}}))
+    path.write_text(json.dumps({"subband": {}}))
     with pytest.raises(ValueError, match="Nyquist"):
-        RunConfig.from_json(path)
-    # The gate keys are checked even when gating is off.
-    path.write_text(json.dumps({"subband": {"enabled": False,
-                                            "crossover_hz": -1.0}}))
-    with pytest.raises(ValueError, match="crossover"):
         RunConfig.from_json(path)
 
 
@@ -119,8 +115,7 @@ def test_run_config_rejects_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize("doc,exc,match", [
     ({"subband": {"enable": True}}, TypeError, "'enable'"),
-    ({"subband": {"enabled": True, "crossover": 4000}}, TypeError,
-     "'crossover'"),
+    ({"subband": {"crossover": 4000}}, TypeError, "'crossover'"),
     ({"data": {"training": [["a.wav", "b.wav"]]}}, ValueError,
      r"unknown data keys: \['training'\]"),
 ])

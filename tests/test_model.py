@@ -185,12 +185,10 @@ def test_save_load_roundtrip_bitexact(small_cfg, rng, tmp_path):
     model = AcousticModel(small_cfg, hidden=(6, 5), seed=11)
     model.in_mean = rng.normal(size=small_cfg.cep_dim)
     model.lifter.coeffs[:] = rng.normal(size=small_cfg.cep_dim)
-    model.lifter.trainable = True
     path = tmp_path / "m.lvc"
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.hidden == model.hidden
-    assert loaded.lifter.trainable
     for (name_a, a), (name_b, b) in zip(model.param_entries(),
                                         loaded.param_entries()):
         assert name_a == name_b
@@ -249,6 +247,7 @@ def test_load_without_subband_key_is_ungated(small_cfg, tmp_path):
     ({"hidden": [4, True]}, "positive ints"),
     ({"subband": {"crossover_hz": float("nan"), "steepness_hz": 200.0}},
      "SubbandGate.crossover_hz must be finite"),
+    ({"bn_eps": 1e-3}, "bn_eps"),
 ])
 def test_load_rejects_bad_config_values(small_cfg, tmp_path, changes, match):
     path = tmp_path / "m.lvc"

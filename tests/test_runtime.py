@@ -149,7 +149,7 @@ def test_convert_applies_the_filter_the_chain_scores(small_cfg, rng, taps,
                           small_cfg, gate=gate)
     assert np.max(np.abs(measured - chain.cep_y[0])) < 1e-10
     flat = TrainingSet(np.zeros((1, c)), np.zeros((1, c)),
-                       np.ones((1, n), complex))
+                       np.ones((1, n), complex), [0, 1])
     assert eval_rmse(model, flat, taps).rmse == np.sqrt(chain.loss)
 
 
@@ -190,9 +190,9 @@ def test_cumulative_power_counts_from_the_time_origin():
     differential where the ungated filter has it. The curve is that of the
     model's own gate."""
     cfg = AnalysisConfig.for_rate(48000)
-    model = constant_model(cfg, default_differential(cfg), hidden=(4, 3))
+    model = constant_model(cfg, default_differential(cfg))
     data = TrainingSet(np.zeros((2, cfg.cep_dim)), np.zeros((2, cfg.cep_dim)),
-                       np.zeros((2, cfg.fft_len), complex))
+                       np.zeros((2, cfg.fft_len), complex), [0, 2])
     ungated = cumulative_power(model, data)
     model.subband = SubbandGate()
     gated = cumulative_power(model, data)
@@ -237,6 +237,21 @@ def test_convert_is_bit_identical_across_worker_counts(monkeypatch, taps):
         cpus(monkeypatch, count)
         outputs.append(convert(wave, model, taps=taps).samples)
     assert all(np.array_equal(outputs[0], out) for out in outputs[1:])
+
+
+def test_convert_without_affinity_call_uses_cpu_count(monkeypatch):
+    """Where os.sched_getaffinity does not exist (macOS, Windows), convert
+    sizes its pool by os.cpu_count(), or runs inline when that is unknown,
+    with the one-worker output."""
+    model = random_model(ORACLE_CFG, 7)
+    wave = Waveform(np.random.default_rng(7).normal(size=3 * BLOCK * 32) * 0.1,
+                    ORACLE_CFG.sample_rate)
+    cpus(monkeypatch, 1)
+    want = convert(wave, model, taps=16).samples
+    monkeypatch.delattr(runtime.os, "sched_getaffinity")
+    for count in (2, None):
+        monkeypatch.setattr(runtime.os, "cpu_count", lambda: count)
+        assert np.array_equal(convert(wave, model, taps=16).samples, want)
 
 
 def test_convert_leaves_no_thread_behind(monkeypatch):

@@ -102,3 +102,18 @@ def test_make_corpus_layout(tmp_path, rng):
     # config round trip points at existing files
     again = RunConfig.from_json(tmp_path / "config.json")
     assert again.analysis == cfg
+
+
+def test_make_corpus_config_round_trips(tmp_path):
+    """The config.json make_corpus writes loads back equal to the run it
+    returns, and writing that back reproduces the file byte for byte."""
+    cfg = AnalysisConfig(window_len=48, hop=16, fft_len=64, cep_dim=8)
+    run = make_corpus(tmp_path, cfg=cfg, n_train=1, n_val=1, n_test=1,
+                      duration_s=0.2, seed=3)
+    path = tmp_path / "config.json"
+    written = path.read_bytes()
+    again = RunConfig.from_json(path)
+    assert again == run
+    again.to_json(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == written
+    assert json.loads(written)["subband"] is None
