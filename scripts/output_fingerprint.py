@@ -7,8 +7,9 @@ ungated and once with the sub-band gate in the run config (the tuned model
 carries it to eval, cumpow and convert), then
 `run_synthetic_experiment.py --quick`, all in a scratch directory, and
 prints one `sha256  name` line per artifact: dataset arrays, model files
-(two lines each: the config document and the parameter bytes), the loss
-columns of the training logs, eval, cumpow, sweep, lifter and
+(two lines each: the config document and the parameter bytes), the
+training logs (two lines each: the training loss, and the validation loss
+with its rmse), eval, cumpow, sweep, lifter and
 cumulative-power CSVs and converted WAVs. Running it at two commits and
 diffing the printouts shows whether a change kept every output bit for bit:
 
@@ -50,11 +51,15 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def loss_columns(path: Path) -> bytes:
-    """A training log without its wall-clock column."""
+def log_digests(out: dict, name: str, path: Path) -> None:
+    """A training log as two lines, without its wall-clock column: the
+    training loss, and the validation loss with its rmse. A change that only
+    re-rounds validation scores changes only the second line."""
     with open(path, newline="") as fh:
-        rows = [row[:-1] for row in csv.reader(fh)]
-    return "\n".join(",".join(r) for r in rows).encode()
+        rows = list(csv.DictReader(fh))
+    for columns in (("epoch", "train_loss"), ("epoch", "val_loss", "rmse")):
+        text = "\n".join(",".join(row[c] for c in columns) for row in rows)
+        out[f"{name}:{','.join(columns[1:])}"] = digest(text.encode())
 
 
 def model_digests(out: dict, name: str, path: Path) -> None:
@@ -90,7 +95,7 @@ def main(argv=None) -> int:
             for key in sorted(data.files):
                 out[f"{split}.npz:{key}"] = digest(data[key].tobytes())
     model_digests(out, "model.lvc", work / "model.lvc")
-    out["pretrain_log"] = digest(loss_columns(work / "pretrain_log.csv"))
+    log_digests(out, "pretrain_log", work / "pretrain_log.csv")
 
     for name, gate in (("ungated", None), ("gated", GATE)):
         run_dir = work / name
@@ -113,8 +118,8 @@ def main(argv=None) -> int:
             run("convert", "--model", tuned, "--in", work / "test_000_src.wav",
                 "--out", run_dir / f"out_{taps}.wav", "--taps", taps)
         model_digests(out, f"{name}/model.l{TAPS}.lvc", tuned)
-        out[f"{name}/train_lifter_log"] = digest(
-            loss_columns(run_dir / f"train_lifter_log_l{TAPS}.csv"))
+        log_digests(out, f"{name}/train_lifter_log",
+                    run_dir / f"train_lifter_log_l{TAPS}.csv")
         for f in (f"lifter_l{TAPS}.csv", "eval.csv", "cumpow.csv",
                   f"out_{TAPS}.wav", f"out_{cfg.fft_len}.wav"):
             out[f"{name}/{f}"] = digest((run_dir / f).read_bytes())
@@ -123,9 +128,10 @@ def main(argv=None) -> int:
     with contextlib.redirect_stdout(sys.stderr):
         run_synthetic_experiment.main(["--quick", "--out", str(sweep)])
     for path in sorted(sweep.glob("*.csv")):
-        log = "_log" in path.stem
-        out[f"sweep/{path.stem if log else path.name}"] = digest(
-            loss_columns(path) if log else path.read_bytes())
+        if "_log" in path.stem:
+            log_digests(out, f"sweep/{path.stem}", path)
+        else:
+            out[f"sweep/{path.name}"] = digest(path.read_bytes())
 
     for name, value in out.items():
         print(f"{value}  {name}")

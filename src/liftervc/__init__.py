@@ -11,13 +11,12 @@ from .filters import (conversion_filters, design_filter, design_filter_adjoint,
 from .model import (AcousticModel, Adam, ModelFileError, constant_model,
                     load_model, save_model)
 from .runtime import (MetricsReport, convert, cumulative_power, eval_rmse,
-                      power_threshold_tap)
+                      frame_losses, power_threshold_tap)
 from .spectral import Waveform, ola_filter, stft
 from .synthetic import (SweepResult, default_differential, make_corpus,
                         make_pair, run_tap_sweep, spectral_tilt_cepstrum,
                         synth_source)
-from .training import (TrainLog, frame_losses, pretrain_conventional,
-                       train_lifter)
+from .training import TrainLog, pretrain_conventional, train_lifter
 from .wavio import wav_read, wav_write
 
 __version__ = "0.1.0"

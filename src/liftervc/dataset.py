@@ -16,9 +16,9 @@ from .spectral import Waveform
 class TrainingSet:
     """Frame-level training data pooled over utterances.
 
-    src_cep, tgt_cep: (T, c) aligned cepstra. src_spec: (T, fft_len) complex
-    source spectra, all bins, at the warped positions. offsets: utterance
-    boundaries, offsets[u]..offsets[u+1] is utterance u's frame range.
+    src_cep, tgt_cep: (T, c) aligned cepstra, T > 0. src_spec: (T, fft_len)
+    complex source spectra, all bins, at the warped positions. offsets:
+    utterance boundaries, offsets[u]..offsets[u+1] is utterance u's frames.
     """
 
     src_cep: np.ndarray
@@ -27,13 +27,12 @@ class TrainingSet:
     offsets: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.src_cep) == len(self.tgt_cep) == len(self.src_spec)):
-            raise ValueError("frame arrays must have equal length")
+        if not 0 < len(self.src_cep) == len(self.tgt_cep) == len(self.src_spec):
+            raise ValueError("frame arrays must be non-empty and of equal length")
         self.offsets = np.asarray(self.offsets, dtype=np.intp)
         if self.offsets[0] != 0 or self.offsets[-1] != len(self.src_cep):
             raise ValueError("offsets must start at 0 and end at frame count")
-        sizes = np.diff(self.offsets)
-        if (sizes < 0).any() or (len(self) and not sizes.all()):
+        if (np.diff(self.offsets) <= 0).any():
             raise ValueError("offsets must increase: every utterance needs frames")
 
     def __len__(self) -> int:
@@ -55,8 +54,17 @@ class TrainingSet:
             if cfg is not None and meta != cfg:
                 raise ValueError(
                     f"dataset analysis config {meta} does not match expected {cfg}")
-            ts = cls(**{f.name: data[f.name] for f in fields(cls)})
-        return ts, meta
+            arrays = {f.name: data[f.name] for f in fields(cls)}
+        for name, width in (("src_cep", meta.cep_dim), ("tgt_cep", meta.cep_dim),
+                            ("src_spec", meta.fft_len)):
+            arr = arrays[name]
+            if arr.shape[1:] != (width,) or not np.isfinite(arr).all():
+                raise ValueError(f"{path}: {name} must be finite with shape "
+                                 f"(frames, {width}), got shape {arr.shape}")
+        if arrays["offsets"].dtype.kind not in "iu":
+            raise ValueError(f"{path}: offsets must be integers, not "
+                             f"{arrays['offsets'].dtype}")
+        return cls(**arrays), meta
 
 
 def build_dataset(waves: "list[tuple[Waveform, Waveform]]", cfg: AnalysisConfig,

@@ -153,22 +153,22 @@ class AcousticModel:
     # -- inference / training math -------------------------------------------
 
     def fold(self) -> list:
-        """Inference weights from the live parameters, one (w, b) per layer.
-        For a hidden layer, x @ w.T + b stacks BN_v(W_v x' + b_v) above
-        BN_g(W_g x' + b_g) / 2 with the running statistics, since sigmoid(z)
-        = (1 + tanh(z / 2)) / 2. Each layer's output is then twice the GLU's,
-        so x' = x / 2 past the first; the output layer also de-normalizes."""
+        """Inference weights from the live parameters: per hidden layer a
+        value pair and a gate pair (w, b), then the output's (w, b). A
+        branch's x @ w.T + b is its BN(W x' + b) with the running statistics,
+        halved for the gate, since sigmoid(z) = (1 + tanh(z / 2)) / 2. Each
+        layer's output is then twice the GLU's, so x' = x / 2 past the first;
+        the output layer also de-normalizes."""
         weights, w_scale = [], 1.0
         for layer in self.layers:
-            n = layer.b_value.size
-            w, b = np.empty((2 * n, layer.w_value.shape[1])), np.empty(2 * n)
-            for rows, weight, bias, bn, half in (
-                    (slice(n), layer.w_value, layer.b_value, layer.bn_value, 1.0),
-                    (slice(n, None), layer.w_gate, layer.b_gate, layer.bn_gate, 0.5)):
+            pairs = []
+            for weight, bias, bn, half in (
+                    (layer.w_value, layer.b_value, layer.bn_value, 1.0),
+                    (layer.w_gate, layer.b_gate, layer.bn_gate, 0.5)):
                 scale = half * bn.gamma / np.sqrt(bn.running_var + BN_EPS)
-                np.multiply(weight, (w_scale * scale)[:, None], out=w[rows])
-                b[rows] = scale * (bias - bn.running_mean) + half * bn.beta
-            weights.append((w, b))
+                pairs.append((weight * (w_scale * scale)[:, None],
+                              scale * (bias - bn.running_mean) + half * bn.beta))
+            weights.append(pairs)
             w_scale = 0.5
         weights.append(((w_scale * self.out_std)[:, None] * self.w_out,
                         self.b_out * self.out_std + self.out_mean))
@@ -179,11 +179,11 @@ class AcousticModel:
 
         train selects batch statistics for batch norm, folds them into the
         running statistics and returns (out, cache) for backward. Otherwise
-        only out is returned, rows are independent, and each layer is a
-        matmul by the weights of fold() (pass `folded` to reuse them across
-        batches) and one tanh. The input z-score stays unfolded: with in_std
-        at its 1e-8 floor, 1/in_std in the weights would cancel terms of
-        order 1e8.
+        only out is returned, rows are independent, and each hidden layer is
+        tanh(h @ w_v.T + b_v) * (tanh(h @ w_g.T + b_g) + 1) with the weights
+        of fold() (pass `folded` to reuse them across blocks). The input
+        z-score stays unfolded: with in_std at its 1e-8 floor, 1/in_std in
+        the weights would cancel terms of order 1e8.
         """
         cep = np.asarray(cep, dtype=np.float64)
         single = cep.ndim == 1
@@ -199,18 +199,14 @@ class AcousticModel:
             out = (h @ self.w_out.T + self.b_out) * self.out_std + self.out_mean
             return (out[0] if single else out), (caches, h)
         *layers, (w_out, b_out) = self.fold() if folded is None else folded
-        for w, b in layers:
-            # Two products into the halves of z: above about 190 output
-            # columns, OpenBLAS packs all of h into its work buffer, whose
-            # pages then stay resident (8 bytes per input element).
-            n = b.size // 2
-            z = np.empty((len(h), 2 * n))
-            np.matmul(h, w[:n].T, out=z[:, :n])
-            np.matmul(h, w[n:].T, out=z[:, n:])
-            z += b
-            np.tanh(z, out=z)
-            h, gate = np.split(z, 2, axis=1)
+        for (w_v, b_v), (w_g, b_g) in layers:
+            gate = h @ w_g.T
+            gate += b_g
+            np.tanh(gate, out=gate)
             gate += 1.0
+            h = h @ w_v.T
+            h += b_v
+            np.tanh(h, out=h)
             h *= gate
         out = h @ w_out.T
         out += b_out

@@ -10,17 +10,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cepstral import Lifter, real_cepstrum
+from .chain import chain_forward
 from .config import SubbandGate
 from .dataset import TrainingSet
 from .filters import conversion_filters
 from .model import AcousticModel
 from .spectral import Waveform, frame_count, ola_frames, stft
-from .training import frame_losses
 from .wavio import write_csv
 
 log = logging.getLogger(__name__)
-CUMPOW_BATCH = 512  # frames per full-length design batch in cumulative_power
-CONVERT_BLOCK_FRAMES = 128  # frames per conversion block
+BLOCK_FRAMES = 128  # frames per network call: convert, frame_losses, cumpow
 
 
 def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
@@ -30,10 +29,10 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
     Per frame: analyze, estimate the differential cepstrum, design the
     filter with the model's lifter, gating the spectrum by `gate` (None:
     the model's own gate), truncate to `taps` (None: full length), then
-    overlap-add filter the waveform. Blocks of CONVERT_BLOCK_FRAMES frames
-    take these steps on one thread per CPU the process may use; their
-    outputs are summed in frame order on the calling thread, so the result
-    does not depend on the thread count. The output is clamped to [-1, 1];
+    overlap-add filter the waveform. Blocks of BLOCK_FRAMES frames take
+    these steps on one thread per CPU the process may use; their outputs
+    are summed in frame order on the calling thread, so the result does not
+    depend on the thread count. The output is clamped to [-1, 1];
     clamped samples are counted and logged.
     """
     cfg = model.cfg
@@ -48,14 +47,14 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
     folded = model.fold()
 
     def block(start: int):
-        stop = min(start + CONVERT_BLOCK_FRAMES, n_frames)
+        stop = min(start + BLOCK_FRAMES, n_frames)
         cep_d = model.forward(real_cepstrum(stft(wave, cfg, start, stop), cfg),
                               folded=folded)
         filters, delay = conversion_filters(cep_d, model.lifter.coeffs, cfg,
                                             taps, gate=gate)
         return ola_frames(wave.samples, filters, cfg.hop, start), delay
 
-    starts = range(0, n_frames, CONVERT_BLOCK_FRAMES)
+    starts = range(0, n_frames, BLOCK_FRAMES)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # no affinity call on macOS or Windows
     workers = min(cpus, len(starts))
@@ -71,6 +70,31 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
                     clipped, samples.size)
         np.clip(samples, -1.0, 1.0, out=samples)
     return Waveform(samples, wave.sample_rate)
+
+
+def frame_losses(model: AcousticModel, data: TrainingSet,
+                 taps: int | None = None) -> np.ndarray:
+    """Per-frame squared cepstral error of a model over a dataset, in
+    inference mode.
+
+    With taps, the target estimate is what the truncated filter, gated by
+    the model's gate, produces, scored through the chain; without, it is the
+    conventional additive estimate (source plus predicted differential).
+    """
+    losses = np.empty(len(data))
+    folded = model.fold()
+    for a in range(0, len(data), BLOCK_FRAMES):
+        rows = slice(a, a + BLOCK_FRAMES)
+        x, tgt = data.src_cep[rows], data.tgt_cep[rows]
+        cep_d = model.forward(x, folded=folded)
+        if taps is None:
+            err = x + cep_d - tgt
+            losses[rows] = (err * err).sum(axis=1)
+        else:
+            losses[rows] = chain_forward(
+                cep_d, model.lifter.coeffs, data.src_spec[rows],
+                tgt, taps, model.cfg, gate=model.subband).frame_losses
+    return losses
 
 
 @dataclass
@@ -90,8 +114,6 @@ def eval_rmse(model: AcousticModel, data: TrainingSet,
               taps: int) -> MetricsReport:
     """Root of the mean squared cepstral error through the truncation chain,
     with the model's gate, per utterance and pooled."""
-    if len(data) == 0:
-        raise ValueError("empty evaluation set")
     losses = frame_losses(model, data, taps)
     per_utt = np.array([
         np.sqrt(losses[data.offsets[u]:data.offsets[u + 1]].mean())
@@ -109,13 +131,11 @@ def cumulative_power(model: AcousticModel, data: TrainingSet) -> np.ndarray:
     end); the curve rises to 1. A fast rise means the filter survives
     truncation.
     """
-    if len(data) == 0:
-        raise ValueError("empty evaluation set")
     cfg = model.cfg
     total = np.zeros(cfg.fft_len)
     folded = model.fold()
-    for a in range(0, len(data), CUMPOW_BATCH):
-        cep_d = model.forward(data.src_cep[a:a + CUMPOW_BATCH], folded=folded)
+    for a in range(0, len(data), BLOCK_FRAMES):
+        cep_d = model.forward(data.src_cep[a:a + BLOCK_FRAMES], folded=folded)
         filters, delay = conversion_filters(cep_d, model.lifter.coeffs, cfg,
                                             cfg.fft_len, model.subband)
         filters = np.roll(filters, -delay, axis=1)

@@ -11,10 +11,10 @@ from .chain import ChainResult, chain_backward, chain_forward
 from .config import TrainConfig
 from .dataset import TrainingSet
 from .model import AcousticModel, Adam
+from .runtime import frame_losses
 from .wavio import write_csv
 
 STD_FLOOR = 1e-8
-LOSS_BATCH = 2048  # frames per inference batch in frame_losses
 
 
 @dataclass
@@ -45,38 +45,11 @@ def set_normalization(model: AcousticModel, data: TrainingSet) -> None:
     """Freeze feature statistics into the model: inputs are z-scored by the
     source cepstra, outputs are de-normalized by the target-minus-source
     differential statistics."""
-    if len(data) == 0:
-        raise ValueError("empty training set")
     model.in_mean = data.src_cep.mean(axis=0)
     model.in_std = np.maximum(data.src_cep.std(axis=0), STD_FLOOR)
     diff = data.tgt_cep - data.src_cep
     model.out_mean = diff.mean(axis=0)
     model.out_std = np.maximum(diff.std(axis=0), STD_FLOOR)
-
-
-def frame_losses(model: AcousticModel, data: TrainingSet,
-                 taps: int | None = None) -> np.ndarray:
-    """Per-frame squared cepstral error of a model over a dataset, in
-    inference mode.
-
-    With taps, the target estimate is what the truncated filter, gated by
-    the model's gate, produces, scored through the chain; without, it is the
-    conventional additive estimate (source plus predicted differential).
-    """
-    losses = np.empty(len(data))
-    folded = model.fold()
-    for a in range(0, len(data), LOSS_BATCH):
-        rows = slice(a, a + LOSS_BATCH)
-        x, tgt = data.src_cep[rows], data.tgt_cep[rows]
-        cep_d = model.forward(x, folded=folded)
-        if taps is None:
-            err = x + cep_d - tgt
-            losses[rows] = (err * err).sum(axis=1)
-        else:
-            losses[rows] = chain_forward(
-                cep_d, model.lifter.coeffs, data.src_spec[rows],
-                tgt, taps, model.cfg, gate=model.subband).frame_losses
-    return losses
 
 
 def chain_gradients(model: AcousticModel, cep_x: np.ndarray, spec_x: np.ndarray,
@@ -106,8 +79,6 @@ def _run_epochs(data: TrainingSet, val_data: TrainingSet | None,
     batches. step(idx) returns the batch's summed frame loss and the
     gradients keyed like entries; score(val_data) is the validation loss,
     which falls back to the training loss without validation data."""
-    if len(data) == 0:
-        raise ValueError("empty training set")
     rng = np.random.default_rng(cfg.seed)
     opt = Adam([arr for _, arr in entries], lr=lr)
     log = TrainLog()

@@ -325,6 +325,43 @@ def test_eval_rejects_non_finite_model(pretrained, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _set(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+@pytest.mark.parametrize("key,tamper,problem", [
+    ("src_cep", lambda a: _set(a, (0, 0), np.nan), "finite"),
+    ("tgt_cep", lambda a: _set(a, (1, 2), np.inf), "finite"),
+    ("tgt_cep", lambda a: a[:, :-1], "shape"),
+    ("src_cep", lambda a: a[:, :, None], "shape"),
+    ("offsets", lambda a: np.array([0.5, a[-1]]), "integers"),
+], ids=["nan-src", "inf-tgt", "narrow-tgt", "3d-src", "float-offsets"])
+def test_dataset_load_rejects_tampered_arrays(pretrained, tmp_path, capsys,
+                                              key, tamper, problem):
+    """A prepared dataset with a non-finite value, a wrong shape or
+    non-integer offsets is refused as it loads, by `pretrain` before it
+    writes a model and by `eval` before it scores, with one line naming
+    the file and the array."""
+    with np.load(pretrained / "train.npz") as data:
+        arrays = dict(data)
+    arrays[key] = tamper(arrays[key])
+    np.savez(tmp_path / "train.npz", **arrays)
+    doc = json.loads((pretrained / "config.json").read_text())
+    doc.update(model_file=str(tmp_path / "model.lvc"), output_dir=str(tmp_path))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    for argv in (("pretrain", "--config", config),
+                 ("eval", "--model", pretrained / "model.lvc",
+                  "--pairs", tmp_path / "train.npz")):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 1, argv
+        assert err.startswith(f"error: {tmp_path / 'train.npz'}: {key} ")
+        assert problem in err and err.count("\n") == 1
+    assert not (tmp_path / "model.lvc").exists()
+
+
 def test_prep_rejects_odd_fft_len(workspace, tmp_path, capsys):
     """An odd fft_len, or a hop longer than the window, fails as the config
     loads, not later in pretrain."""

@@ -15,7 +15,7 @@ from liftervc.synthetic import build_sweep_data, make_pair, synth_source
 
 from naive import naive_convert, naive_ola
 
-BLOCK = runtime.CONVERT_BLOCK_FRAMES
+BLOCK = runtime.BLOCK_FRAMES
 # fft_len above FFT_CONV_THRESHOLD, so full-length filters take the FFT path.
 ORACLE_CFG = AnalysisConfig(sample_rate=16000, window_len=96, hop=32,
                             fft_len=128, cep_dim=8)

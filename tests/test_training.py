@@ -1,12 +1,16 @@
 import csv
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from liftervc import (AcousticModel, AnalysisConfig, Lifter, TrainConfig,
-                      TrainingSet, constant_model, frame_losses,
-                      pretrain_conventional, train_lifter)
-from liftervc import training
+                      TrainingSet, constant_model, cumulative_power,
+                      frame_losses, pretrain_conventional, save_model,
+                      train_lifter)
+from liftervc import runtime
+from liftervc.cli import main as cli
 from liftervc.dataset import build_dataset
 from liftervc.training import EpochRow, TrainLog, set_normalization
 from liftervc.synthetic import make_pairs
@@ -80,13 +84,22 @@ def test_cepstral_loss_of_perfect_constant_model(small_cfg, rng,
                                                  monkeypatch):
     """A constant model emitting the true differential scores exactly the
     mean squared residual of the dataset around that differential, however
-    the frames are batched."""
+    the frames are blocked; a network's chain losses and cumulative power
+    do not depend on the block size either."""
     data, delta = tiny_dataset(small_cfg, rng)
     model = constant_model(small_cfg, delta)
-    monkeypatch.setattr(training, "LOSS_BATCH", 7)
+    net = AcousticModel(small_cfg, hidden=(4, 3), seed=0)
+    set_normalization(net, data)
+    assert runtime.BLOCK_FRAMES == 128 and len(data) > 128
+    scores = (lambda: frame_losses(net, data, 12),
+              lambda: cumulative_power(net, data))
+    want = [score() for score in scores]
+    monkeypatch.setattr(runtime, "BLOCK_FRAMES", 7)
     got = frame_losses(model, data)
     err = data.src_cep + delta - data.tgt_cep
     assert np.allclose(got, (err * err).sum(axis=1), rtol=1e-12, atol=0.0)
+    for score, expected in zip(scores, want):
+        np.testing.assert_allclose(score(), expected, rtol=1e-12, atol=0.0)
 
 
 def test_chain_loss_full_length_equals_cepstral_loss(small_cfg, rng):
@@ -113,15 +126,24 @@ def test_pretrain_reduces_loss_and_logs(small_cfg, rng):
     assert all(r.wall_time_s >= 0 for r in log.rows)
 
 
-def test_pretrain_rejects_empty(small_cfg):
-    empty = TrainingSet(np.zeros((0, small_cfg.cep_dim)),
-                        np.zeros((0, small_cfg.cep_dim)),
-                        np.zeros((0, small_cfg.fft_len), dtype=complex), [0])
-    model = AcousticModel(small_cfg, hidden=(4, 3), seed=0)
-    with pytest.raises(ValueError):
-        pretrain_conventional(model, empty, TrainConfig(epochs=1))
-    with pytest.raises(ValueError):
-        train_lifter(model, empty, TrainConfig(epochs=1))
+def test_training_set_rejects_empty(small_cfg, tmp_path, capsys):
+    """A set without frames cannot be built, so no training stage or score
+    guards against one, and `eval` on a zero-frame .npz exits 1 with one
+    error line."""
+    arrays = dict(src_cep=np.zeros((0, small_cfg.cep_dim)),
+                  tgt_cep=np.zeros((0, small_cfg.cep_dim)),
+                  src_spec=np.zeros((0, small_cfg.fft_len), dtype=complex),
+                  offsets=np.zeros(1, dtype=np.intp))
+    with pytest.raises(ValueError, match="non-empty"):
+        TrainingSet(**arrays)
+    np.savez(tmp_path / "empty.npz", **arrays,
+             meta=np.array(json.dumps(asdict(small_cfg))))
+    save_model(AcousticModel(small_cfg, hidden=(4, 3)), tmp_path / "m.lvc")
+    code = cli(["eval", "--model", str(tmp_path / "m.lvc"),
+                "--pairs", str(tmp_path / "empty.npz")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and "non-empty" in err
+    assert err.count("\n") == 1
 
 
 def test_train_lifter_improves_truncated_loss(small_cfg, rng):
