@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -14,19 +15,34 @@ from .spectral import bin_weights
 MAG_FLOOR = 1e-10
 
 
+@lru_cache(maxsize=8)
+def cepstrum_basis(fft_len: int, cep_dim: int) -> np.ndarray:
+    """Read-only (fft_len // 2 + 1, cep_dim) matrix that takes a real half
+    spectrum to the first cep_dim values of its irfft: entry (k, t) is
+    w_k * cos(2 pi k t / fft_len) / fft_len, w from spectral.bin_weights."""
+    k = np.arange(fft_len // 2 + 1)[:, None]
+    # k * t mod fft_len keeps the cosine's argument below 2 pi.
+    phase = 2.0 * np.pi * (k * np.arange(cep_dim) % fft_len) / fft_len
+    basis = np.cos(phase) * (bin_weights(fft_len)[:, None] / fft_len)
+    basis.flags.writeable = False
+    return basis
+
+
 def real_cepstrum(frames: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
     """Low-order real cepstrum of half spectra.
 
     frames has shape (..., fft_len // 2 + 1), the non-negative-frequency bins
     of real signals' spectra (as spectral.stft returns them); the result
-    keeps the first cep_dim quefrency coefficients of
-    irfft(log(max(|frames|, MAG_FLOOR)), fft_len).
+    equals irfft(log(max(|frames|, MAG_FLOOR)), fft_len)[..., :cep_dim],
+    computed as the floored log magnitude times cepstrum_basis. The matrix
+    is built once per (fft_len, cep_dim) and holds bins * cep_dim * 8 bytes:
+    82 KB at 16 kHz, 0.98 MB at 48 kHz.
     """
     frames = np.asarray(frames)
     if frames.shape[-1] != cfg.bins:
         raise ValueError(f"expected {cfg.bins} bins, got {frames.shape[-1]}")
     log_mag = np.log(np.maximum(np.abs(frames), MAG_FLOOR))
-    return np.fft.irfft(log_mag, n=cfg.fft_len, axis=-1)[..., :cfg.cep_dim]
+    return log_mag @ cepstrum_basis(cfg.fft_len, cfg.cep_dim)
 
 
 @dataclass

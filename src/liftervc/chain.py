@@ -9,8 +9,9 @@ frame by frame:
     differential cepstrum -> lifter product -> zero-pad -> rfft -> exp
     -> filters.design_filter (optional sub-band gate, onset rotation, irfft,
     keep l taps) -> rfft -> multiply with the source spectrum ->
-    cepstral.real_cepstrum (floored log magnitude -> irfft -> first c
-    quefrencies) -> squared error against the target
+    cepstral.real_cepstrum (floored log magnitude times the cosine matrix
+    cepstral.cepstrum_basis: the first c quefrencies of its irfft) ->
+    squared error against the target
 
 The spectrum, the taps and the cepstrum come from the same
 cepstral.reconstruct_spectrum, filters.design_filter and
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cepstral import MAG_FLOOR, real_cepstrum, reconstruct_spectrum
+from .cepstral import (MAG_FLOOR, cepstrum_basis, real_cepstrum,
+                       reconstruct_spectrum)
 from .config import AnalysisConfig, SubbandGate
 from .filters import design_filter, design_filter_adjoint
 from .spectral import bin_weights
@@ -94,8 +96,8 @@ def chain_backward(result: ChainResult, cfg: AnalysisConfig):
     """
     n, c = cfg.fft_len, cfg.cep_dim
     w = bin_weights(n)
-    # Estimated cepstrum = irfft(log-magnitude)[:c]; the log-magnitude is real.
-    g_logmag = np.fft.rfft((2.0 / len(result.err)) * result.err, n).real * (w / n)
+    # Estimated cepstrum = log-magnitude @ basis, so the transpose pulls back.
+    g_logmag = ((2.0 / len(result.err)) * result.err) @ cepstrum_basis(n, c).T
     # The floored magnitude, not the raw one: below the floor the raw value
     # may be 0, and np.where evaluates the division before it selects.
     mag = np.maximum(np.abs(result.spec_y), MAG_FLOOR)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .cepstral import reconstruct_spectrum
@@ -17,9 +19,11 @@ def gate_weights(gate: SubbandGate, cfg: AnalysisConfig) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _onset_rotation(cfg: AnalysisConfig, taps: int):
-    """Onset delay of a gated `taps`-long filter, and the per-bin phase ramp
-    that moves its time origin that many taps in.
+@lru_cache(maxsize=16)
+def _gate_blend(gate: SubbandGate, cfg: AnalysisConfig, taps: int):
+    """Onset delay of a gated `taps`-long filter, and the read-only w * r
+    and (1 - w) * r that gate (weights w) and rotate (phase ramp r) a
+    spectrum S in one multiply-add: (w * r) * S + (1 - w) * r.
 
     Ungated differential filters are built from a causal liftered cepstrum,
     so their response starts at tap 0 and needs no delay. The gate's
@@ -33,8 +37,11 @@ def _onset_rotation(cfg: AnalysisConfig, taps: int):
     response.
     """
     delay = min(cfg.fft_len // 4, taps // 2)
-    k = np.arange(cfg.bins)
-    return delay, np.exp(-2j * np.pi * k * delay / cfg.fft_len)
+    r = np.exp(-2j * np.pi * np.arange(cfg.bins) * delay / cfg.fft_len)
+    w = gate_weights(gate, cfg)
+    scale, offset = w * r, (1.0 - w) * r
+    scale.flags.writeable = offset.flags.writeable = False
+    return delay, scale, offset
 
 
 def design_filter(spec_d: np.ndarray, cfg: AnalysisConfig, taps: int,
@@ -53,8 +60,9 @@ def design_filter(spec_d: np.ndarray, cfg: AnalysisConfig, taps: int,
         raise ValueError(f"truncation length must be in 1..{cfg.fft_len}")
     delay = 0
     if gate is not None:
-        delay, rotation = _onset_rotation(cfg, taps)
-        spec_d = (1.0 + gate_weights(gate, cfg) * (spec_d - 1.0)) * rotation
+        delay, scale, offset = _gate_blend(gate, cfg, taps)
+        spec_d = scale * spec_d
+        spec_d += offset
     # The copy lets the full-length irfft array go.
     h = np.fft.irfft(spec_d, cfg.fft_len, axis=-1)
     return np.ascontiguousarray(h[..., :taps]), delay
@@ -67,7 +75,7 @@ def design_filter_adjoint(g_taps: np.ndarray, cfg: AnalysisConfig,
     g_taps: (..., taps) gradient w.r.t. the cut filters. Returns the complex
     gradient w.r.t. the half spectrum spec_d under the real-pair convention
     (see chain.py): the cut zero-pads, irfft pulls back as rfft(g) * w / n,
-    the rotation by its conjugate, and the gate by its weights.
+    and the gate's multiply-add by the conjugate of its factor w * r.
     """
     n = cfg.fft_len
     if not 0 < g_taps.shape[-1] <= n:
@@ -75,8 +83,8 @@ def design_filter_adjoint(g_taps: np.ndarray, cfg: AnalysisConfig,
     g_spec = np.fft.rfft(g_taps, n, axis=-1) * (bin_weights(n) / n)
     if gate is None:
         return g_spec
-    _, rotation = _onset_rotation(cfg, g_taps.shape[-1])
-    return gate_weights(gate, cfg) * (np.conj(rotation) * g_spec)
+    _, scale, _ = _gate_blend(gate, cfg, g_taps.shape[-1])
+    return np.conj(scale) * g_spec
 
 
 def conversion_filters(cep_d: np.ndarray, lifter: np.ndarray,

@@ -8,8 +8,10 @@ import numpy as np
 
 from .config import AnalysisConfig
 
-# Per-tap direct convolution beats FFT blocks below this filter length.
-FFT_CONV_THRESHOLD = 64
+# Filters of up to this many taps take the per-tap direct convolution, longer
+# ones FFT blocks. Timed per 128-frame block on one CPU, the FFT path wins
+# from about 13 taps on at hop 80 and about 23 at hop 240.
+FFT_CONV_THRESHOLD = 16
 
 
 @dataclass
@@ -103,11 +105,23 @@ def _ola_direct(seg: np.ndarray, filters: np.ndarray) -> np.ndarray:
     return acc
 
 
+def fast_len(n: int) -> int:
+    """The smallest 2^a * 3^b * 5^c >= n (>= 1), where numpy's FFT is fast."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 = 3^b * 5^c, times the least 2^a reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _ola_fft(seg: np.ndarray, filters: np.ndarray) -> np.ndarray:
     n_frames, hop = seg.shape
     taps = filters.shape[1]
     out_len = hop + taps - 1
-    n_fft = 1 << (out_len - 1).bit_length()
+    n_fft = fast_len(out_len)
     spec = np.fft.rfft(seg, n_fft, axis=1) * np.fft.rfft(filters, n_fft, axis=1)
     blocks = np.fft.irfft(spec, n_fft, axis=1)[:, :out_len]
     acc = np.zeros((n_frames + (out_len - 1) // hop) * hop)
@@ -135,8 +149,9 @@ def ola_filter(wave: Waveform, filters: np.ndarray, cfg: AnalysisConfig,
 
     Hop-length block t (from sample t*hop) is convolved with frame t's
     filter and the tails are overlap-added, so each sample is filtered once.
-    Filters longer than FFT_CONV_THRESHOLD taps use block FFT convolution,
-    shorter ones the per-tap multiply-add; both agree to within 1e-8. The
+    Filters longer than FFT_CONV_THRESHOLD taps use block FFT convolution
+    at the fast length fast_len(hop + taps - 1), shorter ones the per-tap
+    multiply-add; the tests pin both to a naive overlap-add within 1e-10. The
     output is trimmed to the input length by dropping `delay` leading
     samples, for filters whose time origin sits `delay` taps in, and the
     rest from the tail.

@@ -3,7 +3,7 @@ import pytest
 
 from liftervc import (AnalysisConfig, Lifter, Waveform, real_cepstrum,
                       reconstruct_spectrum, stft)
-from liftervc.cepstral import MAG_FLOOR
+from liftervc.cepstral import MAG_FLOOR, cepstrum_basis
 
 from naive import full_spectrum, naive_real_cepstrum, naive_stft
 
@@ -30,13 +30,26 @@ def test_lifter_validates_coeffs():
 
 
 def test_real_cepstrum_matches_naive(small_cfg, rng):
-    wave = Waveform(rng.normal(size=300) * 0.2, small_cfg.sample_rate)
-    spec = stft(wave, small_cfg)
-    got = real_cepstrum(spec, small_cfg)
-    want = naive_real_cepstrum(full_spectrum(spec, small_cfg.fft_len),
-                               small_cfg)
-    assert got.shape == (spec.shape[0], small_cfg.cep_dim)
-    assert np.allclose(got, want, atol=1e-10)
+    # The second geometry has fft_len = 2 (mod 4) and the largest cep_dim
+    # allowed, fft_len / 2.
+    for cfg in (small_cfg, AnalysisConfig(window_len=50, hop=10, fft_len=66,
+                                          cep_dim=33)):
+        wave = Waveform(rng.normal(size=300) * 0.2, cfg.sample_rate)
+        spec = stft(wave, cfg)
+        got = real_cepstrum(spec, cfg)
+        want = naive_real_cepstrum(full_spectrum(spec, cfg.fft_len), cfg)
+        assert got.shape == (spec.shape[0], cfg.cep_dim)
+        assert np.allclose(got, want, atol=1e-10), cfg
+
+
+def test_cepstrum_basis_is_cached_and_read_only(small_cfg):
+    basis = cepstrum_basis(small_cfg.fft_len, small_cfg.cep_dim)
+    assert basis.shape == (small_cfg.bins, small_cfg.cep_dim)
+    assert cepstrum_basis(small_cfg.fft_len, small_cfg.cep_dim) is basis
+    with pytest.raises(ValueError):
+        basis[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        basis *= 2.0
 
 
 @pytest.mark.parametrize("rate", [16000, 48000])

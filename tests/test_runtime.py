@@ -210,7 +210,7 @@ def test_cumulative_power_counts_from_the_time_origin():
            st.integers(1, 3 * BLOCK * ORACLE_CFG.hop + 1),
            st.builds(lambda k, d: k * BLOCK * ORACLE_CFG.hop + d,
                      st.integers(1, 3), st.sampled_from((-1, 0, 1)))),
-       taps=st.sampled_from((1, 17, FFT_CONV_THRESHOLD, FFT_CONV_THRESHOLD + 1,
+       taps=st.sampled_from((1, 7, FFT_CONV_THRESHOLD, FFT_CONV_THRESHOLD + 1,
                              ORACLE_CFG.fft_len)),
        gated=st.booleans(), seed=st.integers(0, 2**31))
 def test_convert_matches_the_per_frame_oracle(n, taps, gated, seed):

@@ -100,19 +100,39 @@ def test_ola_matches_naive_direct_and_fft(small_cfg, rng, monkeypatch):
                 taps, delay, threshold)
 
 
+def test_fast_len_is_the_smallest_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 5001):
+        want = n
+        while not smooth(want):
+            want += 1
+        assert spectral.fast_len(n) == want, n
+
+
 def test_ola_switches_path_at_the_threshold(rng):
-    """At the 16 kHz production geometry, without forcing a path, filters
-    of FFT_CONV_THRESHOLD taps (direct) and one more (FFT) both match the
-    naive overlap-add."""
-    cfg = AnalysisConfig.for_rate(16000)
-    wave = Waveform(rng.normal(size=1000) * 0.1, cfg.sample_rate)
-    n_frames = frame_count(len(wave), cfg.hop)
-    for taps in (spectral.FFT_CONV_THRESHOLD, spectral.FFT_CONV_THRESHOLD + 1):
-        filters = rng.normal(size=(n_frames, taps))
-        for delay in (0, taps // 2):
-            want = naive_ola(wave.samples, filters, cfg.hop, delay)
-            got = ola_filter(wave, filters, cfg, delay=delay)
-            assert np.allclose(got.samples, want, atol=1e-10), (taps, delay)
+    """At both production geometries, without forcing a path, filters of
+    FFT_CONV_THRESHOLD taps (direct), one more (FFT) and full length (FFT
+    at a length that is not a power of two: hop + fft_len - 1 = 591 -> 600
+    points at 16 kHz, 2,287 -> 2,304 at 48 kHz) match the naive
+    overlap-add."""
+    for rate, fft_points in ((16000, 600), (48000, 2304)):
+        cfg = AnalysisConfig.for_rate(rate)
+        assert spectral.fast_len(cfg.hop + cfg.fft_len - 1) == fft_points
+        wave = Waveform(rng.normal(size=12 * cfg.hop + 7) * 0.1, rate)
+        n_frames = frame_count(len(wave), cfg.hop)
+        for taps in (spectral.FFT_CONV_THRESHOLD,
+                     spectral.FFT_CONV_THRESHOLD + 1, cfg.fft_len):
+            filters = rng.normal(size=(n_frames, taps))
+            for delay in (0, taps // 2):
+                want = naive_ola(wave.samples, filters, cfg.hop, delay)
+                got = ola_filter(wave, filters, cfg, delay=delay)
+                assert np.allclose(got.samples, want, atol=1e-10), (
+                    rate, taps, delay)
 
 
 def test_ola_constant_filter_equals_convolution(small_cfg, rng):
