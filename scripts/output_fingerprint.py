@@ -16,7 +16,10 @@ diffing the printouts shows whether a change kept every output bit for bit:
     PYTHONPATH=src python scripts/output_fingerprint.py --work DIR > prints.txt
 
 The corpus uses a small analysis geometry and the sweep its --quick sizes,
-so the whole run takes seconds.
+so the whole run takes seconds. BLAS rounds matrix products differently
+with different thread counts, so the script sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy loads, whatever the
+environment says: the hashes then depend on the code alone.
 """
 
 import argparse
@@ -24,8 +27,12 @@ import contextlib
 import csv
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 

@@ -15,7 +15,7 @@ from .config import SubbandGate
 from .dataset import TrainingSet
 from .filters import conversion_filters
 from .model import AcousticModel
-from .spectral import Waveform, frame_count, ola_frames, stft
+from .spectral import Waveform, frame_count, ola_filter, stft
 from .wavio import write_csv
 
 log = logging.getLogger(__name__)
@@ -41,6 +41,8 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
             f"sample rate {wave.sample_rate} does not match model ({cfg.sample_rate})")
     if taps is None:
         taps = cfg.fft_len
+    if not 0 < taps <= cfg.fft_len:  # before the accumulator is sized by it
+        raise ValueError(f"truncation length must be in 1..{cfg.fft_len}")
     if gate is None:
         gate = model.subband
     n_frames = frame_count(len(wave), cfg.hop)
@@ -52,7 +54,8 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
                               folded=folded)
         filters, delay = conversion_filters(cep_d, model.lifter.coeffs, cfg,
                                             taps, gate=gate)
-        return ola_frames(wave.samples, filters, cfg.hop, start), delay
+        return ola_filter(wave.samples[start * cfg.hop:stop * cfg.hop],
+                          filters, cfg), delay
 
     starts = range(0, n_frames, BLOCK_FRAMES)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -133,39 +133,24 @@ def _ola_fft(seg: np.ndarray, filters: np.ndarray) -> np.ndarray:
     return acc[:n_frames * hop + taps - 1]
 
 
-def ola_frames(samples: np.ndarray, filters: np.ndarray, hop: int,
-               start: int = 0) -> np.ndarray:
-    """ola_filter's untrimmed output over frames start, start + 1, ..., one
-    per filter row: len(filters) * hop + taps - 1 samples from start * hop."""
-    n_frames = filters.shape[0]
-    seg = _span(samples, start * hop, (start + n_frames) * hop)
-    ola = _ola_fft if filters.shape[1] > FFT_CONV_THRESHOLD else _ola_direct
-    return ola(seg.reshape(n_frames, hop), filters)
+def ola_filter(samples: np.ndarray, filters: np.ndarray,
+               cfg: AnalysisConfig) -> np.ndarray:
+    """Filter samples with one FIR filter per hop-length block.
 
-
-def ola_filter(wave: Waveform, filters: np.ndarray, cfg: AnalysisConfig,
-               delay: int = 0) -> Waveform:
-    """Filter a waveform with one FIR filter per analysis frame.
-
-    Hop-length block t (from sample t*hop) is convolved with frame t's
-    filter and the tails are overlap-added, so each sample is filtered once.
-    Filters longer than FFT_CONV_THRESHOLD taps use block FFT convolution
-    at the fast length fast_len(hop + taps - 1), shorter ones the per-tap
-    multiply-add; the tests pin both to a naive overlap-add within 1e-10. The
-    output is trimmed to the input length by dropping `delay` leading
-    samples, for filters whose time origin sits `delay` taps in, and the
-    rest from the tail.
+    Block t (samples t*hop onward, the last one zero-padded) is convolved
+    with filter row t and the tails are overlap-added, so each sample is
+    filtered once. Returns the untrimmed len(filters) * hop + taps - 1
+    samples; callers trim. Filters longer than FFT_CONV_THRESHOLD taps use
+    block FFT convolution at the fast length fast_len(hop + taps - 1),
+    shorter ones the per-tap multiply-add; the tests pin both to a naive
+    overlap-add within 1e-10.
     """
     filters = np.atleast_2d(np.asarray(filters, dtype=np.float64))
-    n = len(wave)
-    n_frames = frame_count(n, cfg.hop)
-    if filters.shape[0] != n_frames:
-        raise ValueError(
-            f"filter count {filters.shape[0]} does not match frame count {n_frames}")
-    taps = filters.shape[1]
+    n_frames, taps = filters.shape
+    if n_frames != frame_count(len(samples), cfg.hop):
+        raise ValueError(f"{n_frames} filters do not match {len(samples)} "
+                         f"samples at hop {cfg.hop}")
     if taps == 0 or taps > cfg.fft_len:
         raise ValueError(f"filter length must be in 1..{cfg.fft_len}")
-    if not 0 <= delay < taps:
-        raise ValueError("delay must be smaller than the filter length")
-    acc = ola_frames(wave.samples, filters, cfg.hop)
-    return Waveform(acc[delay:delay + n].copy(), wave.sample_rate)
+    seg = _span(samples, 0, n_frames * cfg.hop).reshape(n_frames, cfg.hop)
+    return (_ola_fft if taps > FFT_CONV_THRESHOLD else _ola_direct)(seg, filters)

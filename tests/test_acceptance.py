@@ -280,21 +280,27 @@ def test_subband_identity(capsys):
 
 
 def time_ola(cfg, taps, duration_s: float, repeats: int) -> np.ndarray:
-    """Median wall time of ola_filter per tap count, after one warm-up call,
+    """Median wall time of filtering a waveform per tap count (ola_filter,
+    the trim to the input length and its Waveform), after one warm-up call,
     on seed-0 uniform noise; each count filters with a contiguous prefix of
     the same standard-normal full-length filters."""
     rng = np.random.default_rng(0)
     n = int(round(duration_s * cfg.sample_rate))
     wave = Waveform(rng.uniform(-0.5, 0.5, n), cfg.sample_rate)
     full = rng.standard_normal((frame_count(n, cfg.hop), cfg.fft_len)) * 0.05
+
+    def filtered(filters):
+        return Waveform(ola_filter(wave.samples, filters, cfg)[:n].copy(),
+                        cfg.sample_rate)
+
     medians = []
     for l in taps:
         filters = np.ascontiguousarray(full[:, :l])
-        ola_filter(wave, filters, cfg)
+        filtered(filters)
         samples = []
         for _ in range(repeats):
             t0 = time.perf_counter_ns()
-            ola_filter(wave, filters, cfg)
+            filtered(filters)
             samples.append(time.perf_counter_ns() - t0)
         medians.append(np.median(samples) / 1e9)
     return np.array(medians)

@@ -155,6 +155,9 @@ def test_train_lifter_rejects_bad_taps(workspace, serving, tmp_path, capsys):
     out_path = tmp_path / "out"
     for argv in (("convert", "--in", src, "--out", out_path, "--taps", 0),
                  ("convert", "--in", src, "--out", out_path, "--taps", 65),
+                 ("convert", "--in", src, "--out", out_path, "--taps", -100000),
+                 ("convert", "--in", src, "--out", out_path,
+                  "--taps", 10000000000000),
                  ("eval", "--pairs", pairs, "--out", out_path, "--taps", 65)):
         code, out, err = run_cli(argv[0], "--model", model, *argv[1:],
                                  capsys=capsys)

@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -9,8 +10,8 @@ from liftervc import (MAG_FLOOR, AcousticModel, AnalysisConfig, Lifter,
                       SubbandGate, TrainingSet, Waveform, chain_forward,
                       constant_model, conversion_filters, convert,
                       cumulative_power, default_differential, eval_rmse,
-                      power_threshold_tap, runtime)
-from liftervc.spectral import FFT_CONV_THRESHOLD
+                      power_threshold_tap, runtime, spectral)
+from liftervc.spectral import FFT_CONV_THRESHOLD, frame_count
 from liftervc.synthetic import build_sweep_data, make_pair, synth_source
 
 from naive import naive_convert, naive_ola
@@ -82,11 +83,38 @@ def test_convert_truncation_matches_manual_ola(small_cfg, rng):
     out = convert(wave, model, taps=taps)
     u = Lifter.minimum_phase(small_cfg).coeffs
     h = conversion_filters(delta, u, small_cfg, small_cfg.fft_len)[0][:taps]
-    from liftervc.spectral import frame_count
     n_frames = frame_count(len(wave), small_cfg.hop)
     filters = np.tile(h, (n_frames, 1))
     want = naive_ola(wave.samples, filters, small_cfg.hop)
     assert np.allclose(out.samples, np.clip(want, -1, 1), atol=1e-10)
+
+
+def test_convert_filters_each_block_through_ola_filter(monkeypatch, rng):
+    """convert calls spectral.ola_filter once per block, positionally, with
+    the block's own samples and one filter per frame: the call that a
+    tracer wrapping ola_filter at every liftervc binding counts taps x
+    len(samples) on."""
+    cfg = ORACLE_CFG
+    original, calls = spectral.ola_filter, []
+
+    def wrapped(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "liftervc" or name.startswith("liftervc.")) and \
+                getattr(mod, "ola_filter", None) is original:
+            monkeypatch.setattr(mod, "ola_filter", wrapped)
+    wave = Waveform(rng.normal(size=(2 * BLOCK + 5) * cfg.hop + 7) * 0.1,
+                    cfg.sample_rate)
+    convert(wave, random_model(cfg, 3), taps=12)
+    assert len(calls) == 3
+    for args, kwargs in calls:
+        assert not kwargs and len(args) == 3
+        samples, filters = args[0], args[1]
+        assert isinstance(samples, np.ndarray) and filters.shape[1] == 12
+        assert len(filters) == frame_count(len(samples), cfg.hop)
+    assert sum(len(args[0]) for args, _ in calls) == len(wave)
 
 
 def test_convert_rejects_rate_mismatch(small_cfg):

@@ -8,6 +8,12 @@ from liftervc.spectral import analysis_window, frame_count
 from naive import full_spectrum, naive_ola
 
 
+def trimmed_ola(wave, filters, cfg, delay=0):
+    """ola_filter's output trimmed to the input: `delay` leading samples
+    dropped, the rest from the tail, as `convert` trims it."""
+    return ola_filter(wave.samples, filters, cfg)[delay:delay + len(wave)]
+
+
 def test_waveform_rejects_non_finite():
     with pytest.raises(ValueError):
         Waveform(np.array([0.0, np.nan]), 16000)
@@ -75,8 +81,8 @@ def test_ola_identity_impulse_filter(small_cfg, rng):
     n_frames = frame_count(len(wave), small_cfg.hop)
     filters = np.zeros((n_frames, 12))
     filters[:, 0] = 1.0
-    out = ola_filter(wave, filters, small_cfg)
-    assert np.allclose(out.samples, wave.samples, atol=1e-12)
+    out = trimmed_ola(wave, filters, small_cfg)
+    assert np.allclose(out, wave.samples, atol=1e-12)
 
 
 def test_ola_matches_naive_direct_and_fft(small_cfg, rng, monkeypatch):
@@ -95,8 +101,8 @@ def test_ola_matches_naive_direct_and_fft(small_cfg, rng, monkeypatch):
         # direct one, a threshold of 0 the FFT one.
         for threshold in (small_cfg.fft_len, 0):
             monkeypatch.setattr(spectral, "FFT_CONV_THRESHOLD", threshold)
-            got = ola_filter(wave, filters, small_cfg, delay=delay)
-            assert np.allclose(got.samples, want, atol=1e-10), (
+            got = trimmed_ola(wave, filters, small_cfg, delay)
+            assert np.allclose(got, want, atol=1e-10), (
                 taps, delay, threshold)
 
 
@@ -130,8 +136,8 @@ def test_ola_switches_path_at_the_threshold(rng):
             filters = rng.normal(size=(n_frames, taps))
             for delay in (0, taps // 2):
                 want = naive_ola(wave.samples, filters, cfg.hop, delay)
-                got = ola_filter(wave, filters, cfg, delay=delay)
-                assert np.allclose(got.samples, want, atol=1e-10), (
+                got = trimmed_ola(wave, filters, cfg, delay)
+                assert np.allclose(got, want, atol=1e-10), (
                     rate, taps, delay)
 
 
@@ -142,19 +148,17 @@ def test_ola_constant_filter_equals_convolution(small_cfg, rng):
     n_frames = frame_count(len(wave), small_cfg.hop)
     h = rng.normal(size=9)
     filters = np.tile(h, (n_frames, 1))
-    out = ola_filter(wave, filters, small_cfg)
-    assert np.allclose(out.samples, np.convolve(x, h)[:x.size], atol=1e-10)
+    out = ola_filter(x, filters, small_cfg)
+    assert np.allclose(out, np.convolve(x, h), atol=1e-10)
 
 
 def test_ola_validates_arguments(small_cfg, rng):
-    wave = Waveform(rng.normal(size=100), small_cfg.sample_rate)
-    n_frames = frame_count(len(wave), small_cfg.hop)
+    x = rng.normal(size=100)
+    n_frames = frame_count(x.size, small_cfg.hop)
     with pytest.raises(ValueError):
-        ola_filter(wave, np.ones((n_frames + 1, 4)), small_cfg)
+        ola_filter(x, np.ones((n_frames + 1, 4)), small_cfg)
     with pytest.raises(ValueError):
-        ola_filter(wave, np.ones((n_frames, small_cfg.fft_len + 1)), small_cfg)
-    with pytest.raises(ValueError):
-        ola_filter(wave, np.ones((n_frames, 4)), small_cfg, delay=4)
+        ola_filter(x, np.ones((n_frames, small_cfg.fft_len + 1)), small_cfg)
 
 
 @settings(max_examples=25, deadline=None)
@@ -168,8 +172,7 @@ def test_ola_is_linear_in_the_input(data):
     b = r.normal(size=n)
     n_frames = frame_count(n, cfg.hop)
     filters = r.normal(size=(n_frames, 11))
-    out_sum = ola_filter(Waveform(a + b, cfg.sample_rate), filters, cfg)
-    out_a = ola_filter(Waveform(a, cfg.sample_rate), filters, cfg)
-    out_b = ola_filter(Waveform(b, cfg.sample_rate), filters, cfg)
-    assert np.allclose(out_sum.samples, out_a.samples + out_b.samples,
-                       atol=1e-9)
+    out_sum = ola_filter(a + b, filters, cfg)
+    out_a = ola_filter(a, filters, cfg)
+    out_b = ola_filter(b, filters, cfg)
+    assert np.allclose(out_sum, out_a + out_b, atol=1e-9)
