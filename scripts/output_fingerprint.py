@@ -6,7 +6,9 @@ Runs prep, pretrain, then train-lifter, eval, cumpow and convert once
 ungated and once with the sub-band gate in the run config (the tuned model
 carries it to eval, cumpow and convert), then
 `run_synthetic_experiment.py --quick`, all in a scratch directory, and
-prints one `sha256  name` line per artifact: dataset arrays, model files
+prints one `sha256  name` line per artifact: the run document that
+`make_corpus` writes (with the scratch directory replaced by a fixed
+placeholder, so the hash does not depend on it), dataset arrays, model files
 (two lines each: the config document and the parameter bytes), the
 training logs (two lines each: the training loss, and the validation loss
 with its rmse), eval, cumpow, sweep, lifter and
@@ -38,6 +40,7 @@ import numpy as np
 
 from liftervc import AnalysisConfig
 from liftervc.cli import main as cli
+from liftervc.config import SPLITS
 from liftervc.model import MAGIC
 from liftervc.synthetic import make_corpus
 
@@ -88,7 +91,10 @@ def main(argv=None) -> int:
     cfg = AnalysisConfig(window_len=48, hop=16, fft_len=64, cep_dim=8)
     make_corpus(work, cfg=cfg, n_train=3, n_val=2, n_test=2, duration_s=0.4,
                 seed=1, edge_silence_s=0.05)
-    doc = json.loads((work / "config.json").read_text())
+    text = (work / "config.json").read_text()
+    out = {"config.json": digest(
+        text.replace(json.dumps(str(work))[:-1], '"WORK').encode())}
+    doc = json.loads(text)
     doc["train"].update(epochs=3, batch_size=128, pretrain_lr=1e-3,
                         finetune_lr=5e-4)
     config = work / "config.json"
@@ -96,8 +102,7 @@ def main(argv=None) -> int:
     run("prep", "--config", config)
     run("pretrain", "--config", config)
 
-    out = {}
-    for split in ("train", "val", "test"):
+    for split in SPLITS:
         with np.load(work / f"{split}.npz") as data:
             for key in sorted(data.files):
                 out[f"{split}.npz:{key}"] = digest(data[key].tobytes())

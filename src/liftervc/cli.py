@@ -27,17 +27,17 @@ from .training import pretrain_conventional, train_lifter
 from .wavio import wav_read, wav_write
 
 
-def _dataset_paths(run: RunConfig) -> dict:
-    out = Path(run.output_dir)
-    return {split: out / f"{split}.npz" for split in SPLITS}
+def _split_path(run: RunConfig, split: str) -> Path:
+    return Path(run.output_dir) / f"{split}.npz"
 
 
-def _load_split(run: RunConfig, split: str) -> TrainingSet:
-    path = _dataset_paths(run)[split]
-    if not path.exists():
-        raise FileNotFoundError(f"{path} not found; run `liftervc prep` first")
-    data, _ = TrainingSet.load(path, run.analysis)
-    return data
+def _training_splits(run: RunConfig) -> tuple:
+    """The prepared train set, and the val set or None if prep wrote none."""
+    train, val = _split_path(run, "train"), _split_path(run, "val")
+    if not train.exists():
+        raise FileNotFoundError(f"{train} not found; run `liftervc prep` first")
+    return (TrainingSet.load(train, run.analysis)[0],
+            TrainingSet.load(val, run.analysis)[0] if val.exists() else None)
 
 
 def _read_pairs_csv(path) -> list:
@@ -67,26 +67,27 @@ def _load_eval_data(path, model: AcousticModel) -> TrainingSet:
 
 def cmd_prep(args) -> int:
     run = RunConfig.from_json(args.config)
-    out = Path(run.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = _dataset_paths(run)
-    for split, pairs, trim in (("train", run.train_pairs, run.silence_threshold_db),
-                               ("val", run.val_pairs, run.silence_threshold_db),
-                               ("test", run.test_pairs, None)):
+    if not any(run.data.values()):
+        raise ValueError(f"{args.config}: no pairs listed under data")
+    Path(run.output_dir).mkdir(parents=True, exist_ok=True)
+    for split in SPLITS:
+        pairs = run.data.get(split)
         if not pairs:
             continue
+        # Test pairs are scored as eval scores a CSV of WAVs: untrimmed.
+        trim = None if split == "test" else run.silence_threshold_db
         waves = [(wav_read(s), wav_read(t)) for s, t in pairs]
         data = build_dataset(waves, run.analysis, trim_db=trim)
-        data.save(paths[split], run.analysis)
+        path = _split_path(run, split)
+        data.save(path, run.analysis)
         print(f"{split}: {data.n_utterances} utterances, {len(data)} frames "
-              f"-> {paths[split]}")
+              f"-> {path}")
     return 0
 
 
 def cmd_pretrain(args) -> int:
     run = RunConfig.from_json(args.config, check_paths=False)
-    train_data = _load_split(run, "train")
-    val_data = _load_split(run, "val") if _dataset_paths(run)["val"].exists() else None
+    train_data, val_data = _training_splits(run)
     model = AcousticModel(run.analysis, seed=run.train.seed)
     log = pretrain_conventional(model, train_data, run.train, val_data)
     model.subband = run.subband
@@ -107,8 +108,7 @@ def cmd_train_lifter(args) -> int:
             run, train=dataclasses.replace(run.train, taps=args.taps))
     taps = run.train.taps
     model = load_model(run.model_file, run.analysis)
-    train_data = _load_split(run, "train")
-    val_data = _load_split(run, "val") if _dataset_paths(run)["val"].exists() else None
+    train_data, val_data = _training_splits(run)
     model.subband = run.subband
     log = train_lifter(model, train_data, run.train, val_data)
 

@@ -10,13 +10,13 @@ from pathlib import Path
 NARROW_BAND_RATE = 16000
 FULL_BAND_RATE = 48000
 SPLITS = ("train", "val", "test")  # the run config's data lists
-_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "dict": (dict,)}
 
 
 def _check_types(obj) -> None:
-    """Each int, float or str field holds its declared type: an int, an int
-    or float, or a str. A bool is never a number, and a float field is
-    never NaN or infinite (JSON readers accept both)."""
+    """Each int, float, str or dict field holds its declared type: an int,
+    an int or float, a str or a dict. A bool is never a number, and a float
+    field is never NaN or infinite (JSON readers accept both)."""
     for f in (f for f in fields(obj) if f.type in _TYPES):
         value = getattr(obj, f.name)
         if isinstance(value, bool) or not isinstance(value, _TYPES[f.type]):
@@ -68,10 +68,10 @@ class AnalysisConfig:
         """Standard settings for 16 kHz (512-point FFT, 40 cepstra) or
         48 kHz (2048-point FFT, 120 cepstra); both use 25 ms / 5 ms frames."""
         if sample_rate not in (NARROW_BAND_RATE, FULL_BAND_RATE):
-            raise ValueError(f"no standard settings for {sample_rate} Hz")
+            raise ValueError(f"no standard settings for {sample_rate!r} Hz")
         if sample_rate == FULL_BAND_RATE:  # the defaults are the 16 kHz ones
-            overrides = dict(window_len=1200, hop=240, fft_len=2048,
-                             cep_dim=120, **overrides)
+            overrides = {"window_len": 1200, "hop": 240, "fft_len": 2048,
+                         "cep_dim": 120, **overrides}
         return cls(**{"sample_rate": sample_rate, **overrides})
 
 
@@ -127,14 +127,13 @@ def _reject_unknown(doc: dict, allowed, where: str) -> None:
 
 @dataclass
 class RunConfig:
-    """Everything a full run needs: analysis + training settings, data lists,
-    output locations, and the sub-band gate (None when gating is off)."""
+    """Everything a full run needs: analysis + training settings, the data
+    lists (a split name in SPLITS to its (source, target) path pairs), output
+    locations, and the sub-band gate (None when gating is off)."""
 
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    train_pairs: list = field(default_factory=list)
-    val_pairs: list = field(default_factory=list)
-    test_pairs: list = field(default_factory=list)
+    data: dict = field(default_factory=dict)
     model_file: str = "model.lvc"
     output_dir: str = "out"
     silence_threshold_db: float = 40.0
@@ -149,33 +148,31 @@ class RunConfig:
             raise ValueError("taps must not exceed fft_len")
         if self.subband is not None:
             self.subband.check_below_nyquist(self.analysis)
-        for split in SPLITS:
-            for pair in getattr(self, f"{split}_pairs"):
+        _reject_unknown(self.data, SPLITS, "data")
+        for split, pairs in self.data.items():
+            for pair in pairs:
                 if len(pair) != 2 or not all(isinstance(p, str) for p in pair):
                     raise ValueError(f"each data.{split} entry must be a [source, "
                                      f"target] pair of paths, got {list(pair)!r}")
+        self.data = {split: [tuple(p) for p in self.data[split]]
+                     for split in SPLITS if split in self.data}
 
     @classmethod
     def from_json(cls, path, check_paths: bool = True) -> "RunConfig":
         """Load a config document; with check_paths, verify every listed
-        WAV file exists. Keys left out take the dataclass defaults; unknown
-        keys are rejected in every section."""
+        WAV file exists. Keys left out take the dataclass defaults, and the
+        analysis defaults those of its sample rate; unknown keys are rejected
+        in every section."""
         raw = json.loads(Path(path).read_text())
-        lists = {f"{split}_pairs" for split in SPLITS}  # written under "data"
-        _reject_unknown(raw, {f.name for f in fields(cls)} - lists | {"data"},
-                        "config")
-        data = raw.pop("data", {})
-        _reject_unknown(data, SPLITS, "data")
+        _reject_unknown(raw, {f.name for f in fields(cls)}, "config")
+        analysis = raw.pop("analysis", {})
         sub = raw.pop("subband", None)
-        cfg = cls(analysis=AnalysisConfig(**raw.pop("analysis", {})),
+        cfg = cls(analysis=AnalysisConfig.for_rate(
+                      analysis.pop("sample_rate", NARROW_BAND_RATE), **analysis),
                   train=TrainConfig(**raw.pop("train", {})),
-                  subband=None if sub is None else SubbandGate(**sub),
-                  **{f"{split}_pairs": [tuple(p) for p in pairs]
-                     for split, pairs in data.items()},
-                  **raw)
+                  subband=None if sub is None else SubbandGate(**sub), **raw)
         if check_paths:
-            missing = [p for split in SPLITS
-                       for pair in getattr(cfg, f"{split}_pairs")
+            missing = [p for pairs in cfg.data.values() for pair in pairs
                        for p in pair if not Path(p).exists()]
             if missing:
                 raise FileNotFoundError(f"missing data files: {missing[:4]}"
@@ -183,6 +180,5 @@ class RunConfig:
         return cfg
 
     def to_json(self, path) -> None:
-        doc = asdict(self)
-        doc["data"] = {split: doc.pop(f"{split}_pairs") for split in SPLITS}
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True)
+                              + "\n")

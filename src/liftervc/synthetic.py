@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cepstral import Lifter
-from .config import AnalysisConfig, RunConfig, TrainConfig
+from .config import SPLITS, AnalysisConfig, RunConfig, TrainConfig
 from .dataset import TrainingSet, build_dataset
 from .filters import conversion_filters
 from .model import AcousticModel
@@ -146,7 +146,7 @@ def make_corpus(out_dir, cfg: AnalysisConfig | None = None, n_train: int = 12,
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     lists = {}
-    for split, count in (("train", n_train), ("val", n_val), ("test", n_test)):
+    for split, count in zip(SPLITS, (n_train, n_val, n_test)):
         lists[split] = []
         for i, pair in enumerate(make_pairs(cfg, count, duration_s, rng,
                                             edge_silence_s=edge_silence_s)):
@@ -156,9 +156,7 @@ def make_corpus(out_dir, cfg: AnalysisConfig | None = None, n_train: int = 12,
                 wav_write(path, wave)
             lists[split].append(tuple(map(str, paths)))
     run = RunConfig(analysis=cfg, train=TrainConfig(taps=cfg.fft_len),
-                    train_pairs=lists["train"], val_pairs=lists["val"],
-                    test_pairs=lists["test"],
-                    model_file=str(out_dir / "model.lvc"),
+                    data=lists, model_file=str(out_dir / "model.lvc"),
                     output_dir=str(out_dir))
     run.to_json(out_dir / "config.json")
     return run

@@ -11,6 +11,7 @@ from liftervc import (AcousticModel, AnalysisConfig, SubbandGate, TrainingSet,
                       Waveform, convert, load_model, save_model, wav_read,
                       wav_write)
 from liftervc.cli import main
+from liftervc.spectral import frame_count
 from liftervc.synthetic import make_corpus
 
 
@@ -121,6 +122,38 @@ def test_prep_missing_config_fails(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [{}, {"data": {"train": []}},
+                                 {"data": {"train": [], "val": [], "test": []}}])
+def test_prep_refuses_a_config_without_pairs(tmp_path, monkeypatch, capsys,
+                                             doc):
+    """prep with nothing to prepare exits 1 with one line before it creates
+    the output directory (here the default `out`, relative to the working
+    directory)."""
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli("prep", "--config", config, capsys=capsys)
+    assert code == 1
+    assert err == f"error: {config}: no pairs listed under data\n"
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
+def test_prep_trims_training_splits_but_not_test(pretrained):
+    """prep trims silence from the training and validation pairs and leaves
+    the test pairs whole: each test utterance keeps its 0.05 s edge silence,
+    so its frames are those of the raw WAVs."""
+    doc = json.loads((pretrained / "config.json").read_text())
+    for split in ("train", "val", "test"):
+        data, cfg = TrainingSet.load(pretrained / f"{split}.npz")
+        raw = [frame_count(len(wav_read(src)), cfg.hop)
+               for src, _ in doc["data"][split]]
+        frames = np.diff(data.offsets).tolist()
+        if split == "test":
+            assert frames == raw
+        else:
+            assert all(n < r for n, r in zip(frames, raw)), (split, frames, raw)
 
 
 def test_pretrain_without_prep_fails(workspace, tmp_path, capsys):

@@ -19,6 +19,10 @@ def test_for_rate_accepts_overrides():
     cfg = AnalysisConfig.for_rate(16000, cep_dim=30)
     assert cfg.cep_dim == 30
     assert cfg.fft_len == 512
+    # An override replaces a 48 kHz default instead of clashing with it.
+    cfg = AnalysisConfig.for_rate(48000, fft_len=4096)
+    assert (cfg.window_len, cfg.hop, cfg.fft_len, cfg.cep_dim) == (1200, 240,
+                                                                   4096, 120)
 
 
 def test_analysis_config_validation():
@@ -51,7 +55,7 @@ def test_run_config_roundtrip(tmp_path):
     cfg = RunConfig(
         analysis=AnalysisConfig.for_rate(16000),
         train=TrainConfig(taps=64, epochs=5),
-        train_pairs=[("a.wav", "b.wav")],
+        data={"train": [["a.wav", "b.wav"]]},
         model_file="m.lvc",
         output_dir="outputs",
         subband=SubbandGate(crossover_hz=7000.0),
@@ -61,7 +65,8 @@ def test_run_config_roundtrip(tmp_path):
     back = RunConfig.from_json(path, check_paths=False)
     assert back.analysis == cfg.analysis
     assert back.train == cfg.train
-    assert back.train_pairs == [("a.wav", "b.wav")]
+    assert back.data == {"train": [("a.wav", "b.wav")]}
+    assert back == cfg
     assert back.subband == SubbandGate(crossover_hz=7000.0, steepness_hz=200.0)
 
 
@@ -84,6 +89,23 @@ def test_run_config_document_roundtrip(tmp_path):
     path.write_text(json.dumps(doc))
     RunConfig.from_json(path, check_paths=False).to_json(path)
     assert json.loads(path.read_text()) == doc
+
+
+def test_run_config_analysis_defaults_follow_the_rate(tmp_path):
+    """A document that sets only the sample rate takes that rate's standard
+    settings, and one at a rate with no standard settings is refused."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"analysis": {"sample_rate": 48000}}))
+    assert RunConfig.from_json(path).analysis == AnalysisConfig.for_rate(48000)
+    path.write_text(json.dumps({"analysis": {"sample_rate": 48000,
+                                             "cep_dim": 60}}))
+    assert (RunConfig.from_json(path).analysis
+            == AnalysisConfig.for_rate(48000, cep_dim=60))
+    for rate, shown in ((22050, "22050"), ("16000", "'16000'")):
+        path.write_text(json.dumps({"analysis": {"sample_rate": rate}}))
+        with pytest.raises(ValueError,
+                           match=f"no standard settings for {shown} Hz"):
+            RunConfig.from_json(path)
 
 
 def test_run_config_disabled_gate_is_none(tmp_path):
@@ -124,6 +146,17 @@ def test_run_config_rejects_unknown_section_keys(tmp_path, doc, exc, match):
     path.write_text(json.dumps(doc))
     with pytest.raises(exc, match=match):
         RunConfig.from_json(path, check_paths=False)
+
+
+def test_run_config_built_in_code_is_checked():
+    """The data lists are checked as the dataclass is built, not only as a
+    document loads."""
+    with pytest.raises(ValueError, match=r"unknown data keys: \['training'\]"):
+        RunConfig(data={"training": [("a.wav", "b.wav")]})
+    with pytest.raises(ValueError, match="data.val"):
+        RunConfig(data={"val": [("a.wav",)]})
+    with pytest.raises(TypeError, match="RunConfig.data"):
+        RunConfig(data=[("a.wav", "b.wav")])
 
 
 def test_run_config_checks_paths(tmp_path):

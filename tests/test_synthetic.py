@@ -91,10 +91,9 @@ def test_make_corpus_layout(tmp_path, rng):
                       duration_s=0.3, seed=7)
     doc = json.loads((tmp_path / "config.json").read_text())
     assert doc["analysis"]["fft_len"] == 64
-    assert len(run.train_pairs) == 2
-    assert len(run.val_pairs) == 1
-    assert len(run.test_pairs) == 1
-    for src_path, tgt_path in run.train_pairs + run.val_pairs + run.test_pairs:
+    assert {split: len(pairs) for split, pairs in run.data.items()} == {
+        "train": 2, "val": 1, "test": 1}
+    for src_path, tgt_path in sum(run.data.values(), []):
         src = wav_read(src_path)
         tgt = wav_read(tgt_path)
         assert len(src) == len(tgt)
