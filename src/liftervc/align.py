@@ -57,20 +57,31 @@ def dtw_align(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     if src.shape[1] != tgt.shape[1]:
         raise ValueError("feature dimensions differ")
     ts, tt = src.shape[0], tgt.shape[0]
-    sq = ((src * src).sum(axis=1)[:, None] + (tgt * tgt).sum(axis=1)[None, :]
-          - 2.0 * src @ tgt.T)
-    cost = np.sqrt(np.maximum(sq, 0.0))
-
-    # One-cell border of +inf stands in for the boundary conditions, so each
-    # anti-diagonal update is a single fancy-indexed minimum.
-    acc = np.full((ts + 1, tt + 1), np.inf)
+    # acc[i, j] is the cheapest path cost to frame pair (i-1, j-1). A
+    # one-cell border of +inf stands in for the boundary conditions, and the
+    # interior first holds the cell costs themselves.
+    acc = np.empty((ts + 1, tt + 1))
+    cost = acc[1:, 1:]
+    np.add((src * src).sum(axis=1)[:, None], (tgt * tgt).sum(axis=1)[None, :],
+           out=cost)
+    cost -= 2.0 * src @ tgt.T
+    np.maximum(cost, 0.0, out=cost)
+    np.sqrt(cost, out=cost)
+    acc[0, :] = acc[:, 0] = np.inf
     acc[0, 0] = 0.0
+    # Cell (i, j) of anti-diagonal d = i + j sits at flat index i * tt + d,
+    # so a diagonal and its up, left and diagonal predecessors are slices
+    # with step tt, offset by -tt - 1, -1 and -tt - 2.
+    flat = acc.reshape(-1)
+    best = np.empty(min(ts, tt))
     for d in range(2, ts + tt + 1):
-        i = np.arange(max(1, d - tt), min(ts, d - 1) + 1)
-        j = d - i
-        prev = np.minimum(np.minimum(acc[i - 1, j], acc[i, j - 1]),
-                          acc[i - 1, j - 1])
-        acc[i, j] = cost[i - 1, j - 1] + prev
+        a = max(1, d - tt) * tt + d
+        b = min(ts, d - 1) * tt + d + 1
+        here = flat[a:b:tt]
+        out = best[:here.size]
+        np.minimum(flat[a - tt - 1:b - tt - 1:tt], flat[a - 1:b - 1:tt], out=out)
+        np.minimum(out, flat[a - tt - 2:b - tt - 2:tt], out=out)
+        here += out
 
     path = [(ts - 1, tt - 1)]
     i, j = ts, tt

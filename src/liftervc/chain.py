@@ -98,16 +98,21 @@ def chain_backward(result: ChainResult, cfg: AnalysisConfig):
     w = bin_weights(n)
     # Estimated cepstrum = log-magnitude @ basis, so the transpose pulls back.
     g_logmag = ((2.0 / len(result.err)) * result.err) @ cepstrum_basis(n, c).T
-    # The floored magnitude, not the raw one: below the floor the raw value
-    # may be 0, and np.where evaluates the division before it selects.
-    mag = np.maximum(np.abs(result.spec_y), MAG_FLOOR)
-    g_spec_y = np.where(mag > MAG_FLOOR, g_logmag / (mag * mag),
-                        0.0) * result.spec_y
-    g_spec_l = np.conj(result.spec_x) * g_spec_y
-    g_f_l = np.fft.irfft(g_spec_l / w, n)[:, :result.taps] * n
-    g_spec_d = design_filter_adjoint(g_f_l, cfg, result.gate)
-    g_log_spec = np.conj(result.spec_d) * g_spec_d
-    g_liftered = np.fft.irfft(g_log_spec / w, n)[:, :c] * n
+    # The floored magnitude, not the raw one, which may be 0 where the
+    # gradient is zero.
+    mag = np.abs(result.spec_y)
+    live = mag > MAG_FLOOR
+    np.maximum(mag, MAG_FLOOR, out=mag)
+    g_logmag /= np.multiply(mag, mag, out=mag)
+    g_logmag[~live] = 0.0
+    g_spec_l = np.conj(result.spec_x)
+    g_spec_l *= g_logmag * result.spec_y
+    g_spec_l /= w
+    g_f_l = np.fft.irfft(g_spec_l, n)[:, :result.taps] * n
+    g_log_spec = np.conj(result.spec_d)
+    g_log_spec *= design_filter_adjoint(g_f_l, cfg, result.gate)
+    g_log_spec /= w
+    g_liftered = np.fft.irfft(g_log_spec, n)[:, :c] * n
     g_cep_d = g_liftered * result.lifter
     g_lifter = (g_liftered * result.cep_d).sum(axis=0)
     return g_cep_d, g_lifter

@@ -52,7 +52,12 @@ class ModelFileError(ValueError):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+    """1 / (1 + exp(-x)) with x clipped to +-500, computed in one buffer."""
+    out = np.clip(x, -500.0, 500.0)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 class BatchNorm:
@@ -65,24 +70,36 @@ class BatchNorm:
         self.running_var = np.ones(dim)
 
     def forward(self, x):
+        """Training-mode forward. The centred batch is formed once and serves
+        the variance (as np.var forms it) and xhat."""
         mean = x.mean(axis=0)
-        var = x.var(axis=0)
+        xhat = x - mean
+        y = np.multiply(xhat, xhat)
+        var = y.sum(axis=0) / len(x)
         self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
         self.running_var += BN_MOMENTUM * (var - self.running_var)
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean) * inv
-        return self.gamma * xhat + self.beta, (xhat, inv)
+        xhat *= inv
+        np.multiply(self.gamma, xhat, out=y)
+        y += self.beta
+        return y, (xhat, inv)
 
     def backward(self, cache, gy):
         """Gradients through a training-mode forward, whose batch statistics
         depend on every row: the standard coupled backward."""
         xhat, inv = cache
         batch = xhat.shape[0]
-        ggamma = (gy * xhat).sum(axis=0)
+        tmp = np.multiply(gy, xhat)
+        ggamma = tmp.sum(axis=0)
         gbeta = gy.sum(axis=0)
-        gxhat = gy * self.gamma
-        gx = (inv / batch) * (batch * gxhat - gxhat.sum(axis=0)
-                              - xhat * (gxhat * xhat).sum(axis=0))
+        # (inv / batch) * (batch * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat))
+        gx = np.multiply(gy, self.gamma)
+        sum_g = gx.sum(axis=0)
+        sum_gx = np.multiply(gx, xhat, out=tmp).sum(axis=0)
+        gx *= batch
+        gx -= sum_g
+        gx -= np.multiply(xhat, sum_gx, out=tmp)
+        gx *= inv / batch
         return gx, ggamma, gbeta
 
 
@@ -99,11 +116,13 @@ class GluLayer:
         self.bn_gate = BatchNorm(out_dim)
 
     def forward(self, x):
-        pre_v = x @ self.w_value.T + self.b_value
-        pre_g = x @ self.w_gate.T + self.b_gate
-        norm_v, cache_v = self.bn_value.forward(pre_v)
+        pre_v = x @ self.w_value.T
+        pre_v += self.b_value
+        pre_g = x @ self.w_gate.T
+        pre_g += self.b_gate
+        value, cache_v = self.bn_value.forward(pre_v)
         norm_g, cache_g = self.bn_gate.forward(pre_g)
-        value = np.tanh(norm_v)
+        np.tanh(value, out=value)
         gate = sigmoid(norm_g)
         return value * gate, (x, cache_v, cache_g, value, gate)
 
@@ -112,8 +131,14 @@ class GluLayer:
         model forms the input's gradient from the former only where a lower
         layer needs it."""
         x, cache_v, cache_g, value, gate = cache
-        gnorm_v = gout * gate * (1.0 - value * value)
-        gnorm_g = gout * value * gate * (1.0 - gate)
+        # gout * gate * (1 - value**2) and gout * value * gate * (1 - gate)
+        slope = np.multiply(value, value)
+        np.subtract(1.0, slope, out=slope)
+        gnorm_v = np.multiply(gout, gate)
+        gnorm_v *= slope
+        gnorm_g = np.multiply(gout, value)
+        gnorm_g *= gate
+        gnorm_g *= np.subtract(1.0, gate, out=slope)
         gpre_v, ggamma_v, gbeta_v = self.bn_value.backward(cache_v, gnorm_v)
         gpre_g, ggamma_g, gbeta_g = self.bn_gate.backward(cache_g, gnorm_g)
         grads = {

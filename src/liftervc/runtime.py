@@ -22,6 +22,22 @@ log = logging.getLogger(__name__)
 BLOCK_FRAMES = 128  # frames per network call: convert, frame_losses, cumpow
 
 
+def map_blocks(fn, n_frames: int):
+    """fn(start, stop) over the BLOCK_FRAMES-frame blocks of n_frames
+    frames, on one thread per CPU the process may use; yields the results
+    in block order. The blocks do not depend on the thread count."""
+    starts = range(0, n_frames, BLOCK_FRAMES)
+    stops = [min(start + BLOCK_FRAMES, n_frames) for start in starts]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # no affinity call on macOS or Windows
+    workers = min(cpus, len(starts))
+    if workers < 2:
+        yield from map(fn, starts, stops)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            yield from pool.map(fn, starts, stops)
+
+
 def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
             gate: SubbandGate | None = None) -> Waveform:
     """Convert a source waveform with per-frame truncated differential filters.
@@ -29,11 +45,10 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
     Per frame: analyze, estimate the differential cepstrum, design the
     filter with the model's lifter, gating the spectrum by `gate` (None:
     the model's own gate), truncate to `taps` (None: full length), then
-    overlap-add filter the waveform. Blocks of BLOCK_FRAMES frames take
-    these steps on one thread per CPU the process may use; their outputs
-    are summed in frame order on the calling thread, so the result does not
-    depend on the thread count. The output is clamped to [-1, 1];
-    clamped samples are counted and logged.
+    overlap-add filter the waveform. map_blocks takes these steps per block;
+    the outputs are summed in frame order on the calling thread, so the
+    result does not depend on the thread count. The output is clamped to
+    [-1, 1]; clamped samples are counted and logged.
     """
     cfg = model.cfg
     if wave.sample_rate != cfg.sample_rate:
@@ -48,24 +63,18 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
     n_frames = frame_count(len(wave), cfg.hop)
     folded = model.fold()
 
-    def block(start: int):
-        stop = min(start + BLOCK_FRAMES, n_frames)
+    def block(start: int, stop: int):
         cep_d = model.forward(real_cepstrum(stft(wave, cfg, start, stop), cfg),
                               folded=folded)
         filters, delay = conversion_filters(cep_d, model.lifter.coeffs, cfg,
                                             taps, gate=gate)
-        return ola_filter(wave.samples[start * cfg.hop:stop * cfg.hop],
-                          filters, cfg), delay
+        span = ola_filter(wave.samples[start * cfg.hop:stop * cfg.hop],
+                          filters, cfg)
+        return start * cfg.hop, span, delay
 
-    starts = range(0, n_frames, BLOCK_FRAMES)
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)  # no affinity call on macOS or Windows
-    workers = min(cpus, len(starts))
     acc = np.zeros(n_frames * cfg.hop + taps - 1)
-    with ThreadPoolExecutor(workers) as pool:
-        spans = pool.map(block, starts) if workers > 1 else map(block, starts)
-        for start, (span, delay) in zip(starts, spans):
-            acc[start * cfg.hop:start * cfg.hop + span.size] += span
+    for at, span, delay in map_blocks(block, n_frames):
+        acc[at:at + span.size] += span
     samples = acc[delay:delay + len(wave)]
     clipped = np.count_nonzero(samples > 1.0) + np.count_nonzero(samples < -1.0)
     if clipped:
@@ -84,20 +93,18 @@ def frame_losses(model: AcousticModel, data: TrainingSet,
     the model's gate, produces, scored through the chain; without, it is the
     conventional additive estimate (source plus predicted differential).
     """
-    losses = np.empty(len(data))
     folded = model.fold()
-    for a in range(0, len(data), BLOCK_FRAMES):
-        rows = slice(a, a + BLOCK_FRAMES)
-        x, tgt = data.src_cep[rows], data.tgt_cep[rows]
+
+    def block(start: int, stop: int):
+        x, tgt = data.src_cep[start:stop], data.tgt_cep[start:stop]
         cep_d = model.forward(x, folded=folded)
         if taps is None:
             err = x + cep_d - tgt
-            losses[rows] = (err * err).sum(axis=1)
-        else:
-            losses[rows] = chain_forward(
-                cep_d, model.lifter.coeffs, data.src_spec[rows],
-                tgt, taps, model.cfg, gate=model.subband).frame_losses
-    return losses
+            return (err * err).sum(axis=1)
+        return chain_forward(cep_d, model.lifter.coeffs, data.src_spec[start:stop],
+                             tgt, taps, model.cfg, gate=model.subband).frame_losses
+
+    return np.concatenate(list(map_blocks(block, len(data))))
 
 
 @dataclass
@@ -135,17 +142,17 @@ def cumulative_power(model: AcousticModel, data: TrainingSet) -> np.ndarray:
     truncation.
     """
     cfg = model.cfg
-    total = np.zeros(cfg.fft_len)
     folded = model.fold()
-    for a in range(0, len(data), BLOCK_FRAMES):
-        cep_d = model.forward(data.src_cep[a:a + BLOCK_FRAMES], folded=folded)
+
+    def block(start: int, stop: int):
+        cep_d = model.forward(data.src_cep[start:stop], folded=folded)
         filters, delay = conversion_filters(cep_d, model.lifter.coeffs, cfg,
                                             cfg.fft_len, model.subband)
         filters = np.roll(filters, -delay, axis=1)
-        power = filters * filters
-        cum = np.cumsum(power, axis=1)
-        total += (cum / cum[:, -1:]).sum(axis=0)
-    return total / len(data)
+        cum = np.cumsum(filters * filters, axis=1)
+        return (cum / cum[:, -1:]).sum(axis=0)
+
+    return sum(map_blocks(block, len(data))) / len(data)  # in frame order
 
 
 def write_cumulative_power_csv(path, curve: np.ndarray) -> None:

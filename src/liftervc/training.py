@@ -130,10 +130,10 @@ def train_lifter(model: AcousticModel, data: TrainingSet, cfg: TrainConfig,
     Adam. The reported rmse is the root of the validation chain loss at
     cfg.taps.
     """
-    def step(idx):
+    def step(idx):  # the chain reads only the source spectra's half
         result, grads = chain_gradients(
-            model, data.src_cep[idx], data.src_spec[idx], data.tgt_cep[idx],
-            cfg.taps)
+            model, data.src_cep[idx], data.src_spec[idx, :model.cfg.bins],
+            data.tgt_cep[idx], cfg.taps)
         return float(result.frame_losses.sum()), grads
 
     return _run_epochs(

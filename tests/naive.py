@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from liftervc.cepstral import MAG_FLOOR
-from liftervc.model import BN_EPS
+from liftervc.model import (ADAM_DECAY_M, ADAM_DECAY_V, ADAM_EPS, BN_EPS,
+                            BN_MOMENTUM)
 
 
 @functools.lru_cache(maxsize=8)
@@ -173,6 +174,35 @@ def brute_force_dtw_cost(src, tgt):
     return best
 
 
+def naive_dtw_path(src, tgt):
+    """Explicit-loop DTW: accumulated cost acc[i][j] = d(i, j) + the least
+    of its up, left and diagonal predecessors, then a backtrack from the
+    end that takes the diagonal if it is <= both others, else up if up <=
+    left, else left. With small integer features every distance and sum is
+    exact, so ties are real and the path is unique."""
+    src = np.asarray(src, dtype=np.float64)
+    tgt = np.asarray(tgt, dtype=np.float64)
+    ts, tt = len(src), len(tgt)
+    acc = [[math.inf] * (tt + 1) for _ in range(ts + 1)]
+    acc[0][0] = 0.0
+    for i in range(1, ts + 1):
+        for j in range(1, tt + 1):
+            d = math.sqrt(sum((a - b) ** 2 for a, b in zip(src[i - 1], tgt[j - 1])))
+            acc[i][j] = d + min(acc[i - 1][j], acc[i][j - 1], acc[i - 1][j - 1])
+    i, j = ts, tt
+    path = [(i - 1, j - 1)]
+    while (i, j) != (1, 1):
+        diag, up, left = acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1]
+        if diag <= up and diag <= left:
+            i, j = i - 1, j - 1
+        elif up <= left:
+            i -= 1
+        else:
+            j -= 1
+        path.append((i - 1, j - 1))
+    return np.array(path[::-1])
+
+
 def dtw_cost(src, tgt, path):
     """Summed Euclidean distance along an alignment path."""
     diffs = np.asarray(src)[path[:, 0]] - np.asarray(tgt)[path[:, 1]]
@@ -216,3 +246,72 @@ def naive_convert(samples, model, taps, gate=None):
                for cep in naive_real_cepstrum(spectra, cfg)]
     delay = 0 if gate is None else min(cfg.fft_len // 4, taps // 2)
     return np.clip(naive_ola(samples, filters, cfg.hop, delay), -1.0, 1.0)
+
+
+# The training kernels as textbook array expressions, one temporary per
+# operation. The package computes them in place; these pin its numerics
+# bit for bit, so each keeps the package's operation order.
+
+
+def textbook_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+
+
+def textbook_batchnorm_forward(x, gamma, beta, running_mean, running_var):
+    """(y, (xhat, inv), new running mean, new running variance)."""
+    mean = x.mean(axis=0)
+    var = x.var(axis=0)
+    running_mean = running_mean + BN_MOMENTUM * (mean - running_mean)
+    running_var = running_var + BN_MOMENTUM * (var - running_var)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x - mean) * inv
+    return gamma * xhat + beta, (xhat, inv), running_mean, running_var
+
+
+def textbook_batchnorm_backward(gamma, xhat, inv, gy):
+    """(gx, ggamma, gbeta) through a training-mode forward."""
+    batch = xhat.shape[0]
+    ggamma = (gy * xhat).sum(axis=0)
+    gbeta = gy.sum(axis=0)
+    gxhat = gy * gamma
+    gx = (inv / batch) * (batch * gxhat - gxhat.sum(axis=0)
+                          - xhat * (gxhat * xhat).sum(axis=0))
+    return gx, ggamma, gbeta
+
+
+def textbook_glu_forward(layer, x):
+    """(output, value, gate) of a GluLayer in training mode; its batch
+    norms' running statistics are left as they are."""
+    def bn(branch, pre):
+        norm = getattr(layer, f"bn_{branch}")
+        return textbook_batchnorm_forward(pre, norm.gamma, norm.beta,
+                                          norm.running_mean, norm.running_var)[0]
+    value = np.tanh(bn("value", x @ layer.w_value.T + layer.b_value))
+    gate = textbook_sigmoid(bn("gate", x @ layer.w_gate.T + layer.b_gate))
+    return value * gate, value, gate
+
+
+def textbook_glu_backward(layer, x, cache_v, cache_g, value, gate, gout):
+    """(gpre_v, gpre_g, grads) as GluLayer.backward names them."""
+    gnorm_v = gout * gate * (1.0 - value * value)
+    gnorm_g = gout * value * gate * (1.0 - gate)
+    gpre_v, ggamma_v, gbeta_v = textbook_batchnorm_backward(
+        layer.bn_value.gamma, *cache_v, gnorm_v)
+    gpre_g, ggamma_g, gbeta_g = textbook_batchnorm_backward(
+        layer.bn_gate.gamma, *cache_g, gnorm_g)
+    grads = {
+        "w_value": gpre_v.T @ x, "b_value": gpre_v.sum(axis=0),
+        "bn_value.gamma": ggamma_v, "bn_value.beta": gbeta_v,
+        "w_gate": gpre_g.T @ x, "b_gate": gpre_g.sum(axis=0),
+        "bn_gate.gamma": ggamma_g, "bn_gate.beta": gbeta_g,
+    }
+    return gpre_v, gpre_g, grads
+
+
+def textbook_adam_step(p, g, m, v, t, lr):
+    """Step t (from 1) of bias-corrected Adam: new (p, m, v)."""
+    m = ADAM_DECAY_M * m + (1.0 - ADAM_DECAY_M) * g
+    v = ADAM_DECAY_V * v + (1.0 - ADAM_DECAY_V) * g * g
+    correct1 = 1.0 - ADAM_DECAY_M ** t
+    correct2 = 1.0 - ADAM_DECAY_V ** t
+    return p - lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS), m, v

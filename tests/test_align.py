@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from liftervc import (AnalysisConfig, TrainingSet, Waveform, align_pair, dtw_ali
                       trim_silence)
 from liftervc.align import alignment_features
 
-from naive import brute_force_dtw_cost, dtw_cost
+from naive import brute_force_dtw_cost, dtw_cost, naive_dtw_path
 
 
 def test_trim_keeps_loud_blocks(small_cfg):
@@ -99,6 +101,40 @@ def test_dtw_optimality_property(seed, ts, tt):
     path = dtw_align(src, tgt)
     assert np.isclose(dtw_cost(src, tgt, path),
                       brute_force_dtw_cost(src, tgt), rtol=1e-12)
+
+
+def binary_features(ts, tt, dim):
+    return st.tuples(*(st.lists(st.lists(st.integers(0, 1), min_size=dim,
+                                         max_size=dim), min_size=n, max_size=n)
+                       for n in (ts, tt)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 3)),
+    st.tuples(st.just(1), st.integers(1, 12), st.integers(1, 3)),
+    st.tuples(st.integers(1, 12), st.just(1), st.integers(1, 3)),
+).flatmap(lambda shape: binary_features(*shape)))
+def test_dtw_path_matches_the_explicit_loop_with_ties(features):
+    """0/1 features make exact ties common; the path, not only its cost,
+    is the explicit-loop DP's, tie rule included (diagonal, then up, then
+    left). Shapes include 1 x N, N x 1 and 1 x 1."""
+    src, tgt = (np.array(f, dtype=np.float64) for f in features)
+    assert np.array_equal(dtw_align(src, tgt), naive_dtw_path(src, tgt))
+
+
+def test_dtw_holds_two_dense_matrices(rng):
+    """The accumulator and the cross-product term are the only
+    frame-by-frame arrays alive at once: traced peak under 2.2 matrices."""
+    ts, tt = 600, 700
+    src, tgt = rng.normal(size=(ts, 8)), rng.normal(size=(tt, 8))
+    tracemalloc.start()
+    try:
+        dtw_align(src, tgt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * ts * tt * 8
 
 
 def test_aligned_pair_validates_lengths():

@@ -9,7 +9,17 @@ from liftervc.model import (BN_MOMENTUM, FORMAT_VERSION, BatchNorm,
                             ModelFileError, sigmoid)
 from liftervc.training import STD_FLOOR
 
-from naive import naive_model_forward
+from naive import (naive_model_forward, textbook_adam_step,
+                   textbook_batchnorm_backward, textbook_batchnorm_forward,
+                   textbook_glu_backward, textbook_glu_forward,
+                   textbook_sigmoid)
+
+
+def same(got, want):
+    """Bit-identical: equal shapes, dtypes and bytes."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
 
 
 def test_sigmoid_saturates_without_overflow():
@@ -19,6 +29,65 @@ def test_sigmoid_saturates_without_overflow():
     assert hi == 1.0
     assert 0.0 <= lo < 1e-200
     assert np.isclose(sigmoid(np.array([0.0]))[0], 0.5)
+
+
+def test_sigmoid_is_the_textbook_expression(rng):
+    x = np.concatenate([rng.normal(scale=20.0, size=(50, 7)),
+                        np.full((1, 7), 1000.0), np.full((1, 7), -1000.0)])
+    assert same(sigmoid(x), textbook_sigmoid(x))
+    assert same(sigmoid(x[:1]), textbook_sigmoid(x[:1]))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 37, 512])
+def test_training_kernels_are_the_textbook_expressions(batch):
+    """BatchNorm and GluLayer forward and backward, computed in place,
+    match the textbook expressions of tests/naive.py bit for bit, running
+    statistics included; a batch of 1 has zero variance."""
+    rng = np.random.default_rng(batch)
+    layer = AcousticModel(AnalysisConfig.for_rate(16000), hidden=(9, 5),
+                          seed=batch).layers[0]
+    for bn in (layer.bn_value, layer.bn_gate):
+        bn.gamma[:] = rng.uniform(0.5, 1.5, bn.gamma.size)
+        bn.beta[:] = rng.normal(size=bn.beta.size)
+        bn.running_mean[:] = rng.normal(size=bn.beta.size)
+    x = rng.normal(size=(batch, layer.w_value.shape[1])) * 2.0 + 0.5
+    gout = rng.normal(size=(batch, layer.w_value.shape[0]))
+
+    bn = layer.bn_value
+    want_y, (want_xhat, want_inv), want_mean, want_var = textbook_batchnorm_forward(
+        x[:, :9], bn.gamma, bn.beta, bn.running_mean, bn.running_var)
+    y, (xhat, inv) = bn.forward(x[:, :9])
+    assert all(map(same, (y, xhat, inv, bn.running_mean, bn.running_var),
+                   (want_y, want_xhat, want_inv, want_mean, want_var)))
+    got = bn.backward((xhat, inv), gout)
+    want = textbook_batchnorm_backward(bn.gamma, xhat, inv, gout)
+    assert all(map(same, got, want))
+
+    want_out, want_value, want_gate = textbook_glu_forward(layer, x)
+    out, cache = layer.forward(x)
+    _, cache_v, cache_g, value, gate = cache
+    assert same(out, want_out) and same(value, want_value) and same(gate, want_gate)
+    gpre_v, gpre_g, grads = layer.backward(cache, gout)
+    want_v, want_g, want_grads = textbook_glu_backward(
+        layer, x, cache_v, cache_g, value, gate, gout)
+    assert same(gpre_v, want_v) and same(gpre_g, want_g)
+    assert grads.keys() == want_grads.keys()
+    assert all(same(grads[k], want_grads[k]) for k in grads)
+
+
+def test_adam_is_the_textbook_expression(rng):
+    """Five in-place steps match the textbook update bit for bit, for a
+    matrix, a vector and a one-element parameter."""
+    params = [rng.normal(size=(4, 3)), rng.normal(size=6), rng.normal(size=1)]
+    want = [(p.copy(), np.zeros_like(p), np.zeros_like(p)) for p in params]
+    opt = Adam(params, lr=3e-3)
+    for t in range(1, 6):
+        grads = [rng.normal(size=p.shape) * 10.0 ** -t for p in params]
+        opt.step(grads)
+        want = [textbook_adam_step(p, g, m, v, t, 3e-3)
+                for (p, m, v), g in zip(want, grads)]
+        for p, m, v, (wp, wm, wv) in zip(params, opt.m, opt.v, want):
+            assert same(p, wp) and same(m, wm) and same(v, wv)
 
 
 def test_batchnorm_train_normalizes(rng):

@@ -267,6 +267,31 @@ def test_convert_is_bit_identical_across_worker_counts(monkeypatch, taps):
     assert all(np.array_equal(outputs[0], out) for out in outputs[1:])
 
 
+@pytest.mark.parametrize("gated", [False, True])
+def test_dataset_scores_are_bit_identical_across_worker_counts(monkeypatch,
+                                                               gated):
+    """frame_losses, plain and through the chain at 32 taps, eval_rmse and
+    cumulative_power split a dataset into the same blocks for any worker
+    count, and cumulative_power sums the blocks in frame order."""
+    model = random_model(ORACLE_CFG, 9)
+    model.subband = ORACLE_GATE if gated else None
+    r = np.random.default_rng(9)
+    n, c, width = 3 * BLOCK + 5, ORACLE_CFG.cep_dim, ORACLE_CFG.fft_len
+    data = TrainingSet(r.normal(size=(n, c)), r.normal(size=(n, c)),
+                       r.normal(size=(n, width)) + 1j * r.normal(size=(n, width)),
+                       [0, BLOCK + 7, n])
+    scores = []
+    for count in (1, 2, 3):
+        cpus(monkeypatch, count)
+        report = eval_rmse(model, data, 32)
+        scores.append((runtime.frame_losses(model, data),
+                       runtime.frame_losses(model, data, 32),
+                       report.per_utterance, np.array(report.rmse),
+                       cumulative_power(model, data)))
+    for other in scores[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(scores[0], other))
+
+
 def test_convert_without_affinity_call_uses_cpu_count(monkeypatch):
     """Where os.sched_getaffinity does not exist (macOS, Windows), convert
     sizes its pool by os.cpu_count(), or runs inline when that is unknown,
