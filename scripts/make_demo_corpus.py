@@ -29,9 +29,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     out = Path(args.out)
-    run = make_corpus(out, n_train=args.n_train, n_val=args.n_val,
-                      n_test=args.n_test, duration_s=args.duration,
-                      seed=args.seed)
+    try:
+        run = make_corpus(out, n_train=args.n_train, n_val=args.n_val,
+                          n_test=args.n_test, duration_s=args.duration,
+                          seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     run.train = dataclasses.replace(run.train, epochs=args.epochs)
     run.to_json(out / "config.json")
     n = args.n_train + args.n_val + args.n_test

@@ -6,7 +6,10 @@ Runs prep, pretrain, then train-lifter, eval, cumpow and convert once
 ungated and once with the sub-band gate in the run config (the tuned model
 carries it to eval, cumpow and convert), then
 `run_synthetic_experiment.py --quick`, all in a scratch directory, and
-prints one `sha256  name` line per artifact: the run document that
+prints one `sha256  name` line per artifact: the samples of a fixed-seed
+48 kHz `synth_source` and of both sides of a 1 s `make_pair` with edge
+silence (the corpus is at 16 kHz, so these pin the full-band generator),
+the run document that
 `make_corpus` writes (with the scratch directory replaced by a fixed
 placeholder, so the hash does not depend on it), dataset arrays, model files
 (two lines each: the config document and the parameter bytes), the
@@ -42,7 +45,8 @@ from liftervc import AnalysisConfig
 from liftervc.cli import main as cli
 from liftervc.config import SPLITS
 from liftervc.model import MAGIC
-from liftervc.synthetic import make_corpus
+from liftervc.synthetic import (default_differential, make_corpus, make_pair,
+                                synth_source)
 
 import run_synthetic_experiment
 
@@ -88,12 +92,20 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--work", required=True, help="scratch directory")
     work = Path(ap.parse_args(argv).work)
+    full = AnalysisConfig.for_rate(48000)
+    out = {"synth_source@48k": digest(
+        synth_source(full, 1.0, np.random.default_rng(21), 0.1).samples.tobytes())}
+    pair = make_pair(full, default_differential(full), 1.0,
+                     np.random.default_rng(21), 0.1)
+    for side, wave in zip(("src", "tgt"), pair):
+        out[f"make_pair@48k:{side}"] = digest(wave.samples.tobytes())
+
     cfg = AnalysisConfig(window_len=48, hop=16, fft_len=64, cep_dim=8)
     make_corpus(work, cfg=cfg, n_train=3, n_val=2, n_test=2, duration_s=0.4,
                 seed=1, edge_silence_s=0.05)
     text = (work / "config.json").read_text()
-    out = {"config.json": digest(
-        text.replace(json.dumps(str(work))[:-1], '"WORK').encode())}
+    out["config.json"] = digest(
+        text.replace(json.dumps(str(work))[:-1], '"WORK').encode())
     doc = json.loads(text)
     doc["train"].update(epochs=3, batch_size=128, pretrain_lr=1e-3,
                         finetune_lr=5e-4)

@@ -85,6 +85,11 @@ def synth_source(cfg: AnalysisConfig, duration_s: float,
     """Harmonic-plus-noise test audio with vibrato and a slow amplitude
     envelope; optionally padded with digital silence at both ends."""
     sr = cfg.sample_rate
+    if not (np.isfinite(duration_s) and round(duration_s * sr) >= cfg.window_len):
+        raise ValueError(f"duration_s {duration_s} gives fewer than "
+                         f"window_len = {cfg.window_len} samples")
+    if not 0.0 <= edge_silence_s < np.inf:
+        raise ValueError(f"edge_silence_s {edge_silence_s} must be finite and >= 0")
     n = int(round(duration_s * sr))
     t = np.arange(n) / sr
 
@@ -95,8 +100,16 @@ def synth_source(cfg: AnalysisConfig, duration_s: float,
     n_harm = min(48, int(0.45 * sr / f0))
     k = np.arange(1, n_harm + 1)
     amp = k ** -1.1 * rng.uniform(0.7, 1.3, n_harm)
-    x = (amp[:, None] * np.sin(k[:, None] * phase
-                               + rng.uniform(0.0, 2.0 * np.pi, (n_harm, 1)))).sum(axis=0)
+    # One harmonic at a time, in the order a row sum of their (n_harm, n)
+    # stack adds them: the same samples in O(n) memory.
+    offsets = rng.uniform(0.0, 2.0 * np.pi, n_harm)
+    x, tmp = np.zeros(n), np.empty(n)
+    for k_i, offset, amp_i in zip(k, offsets, amp):
+        np.multiply(k_i, phase, out=tmp)
+        tmp += offset
+        np.sin(tmp, out=tmp)
+        tmp *= amp_i
+        x += tmp
 
     # Lowpassed noise floor so frames are never spectrally degenerate.
     smooth = np.hanning(9)
@@ -130,11 +143,13 @@ def make_pair(cfg: AnalysisConfig, delta_cep: np.ndarray, duration_s: float,
 
 def make_pairs(cfg: AnalysisConfig, count: int, duration_s: float,
                rng: np.random.Generator, delta_cep: np.ndarray | None = None,
-               edge_silence_s: float = 0.0) -> list:
+               edge_silence_s: float = 0.0):
+    """count pairs, each made as it is iterated, so a caller that writes or
+    analyses each in turn holds one at a time."""
     if delta_cep is None:
         delta_cep = default_differential(cfg)
-    return [make_pair(cfg, delta_cep, duration_s, rng, edge_silence_s)
-            for _ in range(count)]
+    return (make_pair(cfg, delta_cep, duration_s, rng, edge_silence_s)
+            for _ in range(count))
 
 
 def make_corpus(out_dir, cfg: AnalysisConfig | None = None, n_train: int = 12,

@@ -315,3 +315,29 @@ def textbook_adam_step(p, g, m, v, t, lr):
     correct1 = 1.0 - ADAM_DECAY_M ** t
     correct2 = 1.0 - ADAM_DECAY_V ** t
     return p - lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS), m, v
+
+
+def textbook_synth_source(cfg, duration_s, rng, edge_silence_s=0.0):
+    """synth_source's samples with the harmonic sum as one (n_harm, n)
+    expression summed over its rows, drawing from rng in the same order."""
+    sr = cfg.sample_rate
+    n = int(round(duration_s * sr))
+    t = np.arange(n) / sr
+    f0 = rng.uniform(110.0, 220.0)
+    vibrato = 1.0 + 0.03 * np.sin(2.0 * np.pi * rng.uniform(4.0, 6.0) * t
+                                  + rng.uniform(0.0, 2.0 * np.pi))
+    phase = 2.0 * np.pi * np.cumsum(f0 * vibrato) / sr
+    n_harm = min(48, int(0.45 * sr / f0))
+    k = np.arange(1, n_harm + 1)
+    amp = k ** -1.1 * rng.uniform(0.7, 1.3, n_harm)
+    x = (amp[:, None] * np.sin(k[:, None] * phase
+                               + rng.uniform(0.0, 2.0 * np.pi, (n_harm, 1)))).sum(axis=0)
+    smooth = np.hanning(9)
+    noise = np.convolve(rng.standard_normal(n), smooth / smooth.sum(), "same")
+    x += 0.25 * noise * (x.std() / noise.std())
+    anchors = max(4, int(duration_s * 4))
+    x *= np.interp(t, np.linspace(0.0, duration_s, anchors),
+                   rng.uniform(0.45, 1.0, anchors))
+    x *= 0.35 / np.max(np.abs(x))
+    pad = np.zeros(int(round(edge_silence_s * sr)))
+    return np.concatenate([pad, x, pad])

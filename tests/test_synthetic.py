@@ -1,15 +1,21 @@
+import importlib.util
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftervc import (AnalysisConfig, Lifter, RunConfig, conversion_filters,
                       wav_read)
 from liftervc.synthetic import (default_differential, make_corpus, make_pair,
-                                resonance_cepstrum, spectral_tilt_cepstrum,
-                                synth_source)
+                                make_pairs, resonance_cepstrum,
+                                spectral_tilt_cepstrum, synth_source)
 
-from naive import naive_real_cepstrum
+from naive import naive_real_cepstrum, textbook_synth_source
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_resonance_cepstrum_is_pole_pair_log_spectrum(small_cfg):
@@ -116,3 +122,113 @@ def test_make_corpus_config_round_trips(tmp_path):
     again.to_json(tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == written
     assert json.loads(written)["subband"] is None
+
+
+def rate_cfg(sample_rate):
+    """25 ms windows at any rate; synth_source reads only the rate and the
+    window length."""
+    return AnalysisConfig(sample_rate=sample_rate, window_len=sample_rate // 40,
+                          hop=sample_rate // 200, fft_len=2048)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sample_rate=st.sampled_from([8000, 16000, 22050, 48000]),
+       seed=st.integers(min_value=0, max_value=2**31),
+       windows=st.floats(min_value=1.0, max_value=60.0),
+       edge_silence_s=st.sampled_from([0.0, 0.05]))
+def test_synth_source_matches_textbook_bit_for_bit(sample_rate, seed, windows,
+                                                   edge_silence_s):
+    """The harmonic sum taken one harmonic at a time gives the samples of the
+    (n_harm, n) expression summed over its rows, for one window to 1.5 s."""
+    cfg = rate_cfg(sample_rate)
+    duration_s = windows / 40
+    got = synth_source(cfg, duration_s, np.random.default_rng(seed),
+                       edge_silence_s)
+    want = textbook_synth_source(cfg, duration_s, np.random.default_rng(seed),
+                                 edge_silence_s)
+    assert np.array_equal(got.samples, want)
+
+
+def traced_peak(fn):
+    """Peak bytes that fn() allocates, counted by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synth_source_memory_is_a_few_outputs():
+    """48 kHz, 10 s: the harmonics are never stacked, so the peak stays
+    below ten times the output's bytes (a stack of 48 would be ~100)."""
+    cfg = AnalysisConfig.for_rate(48000)
+    out = []
+    peak = traced_peak(lambda: out.append(
+        synth_source(cfg, 10.0, np.random.default_rng(0))))
+    assert peak < 10 * out[0].samples.nbytes
+
+
+def test_make_corpus_holds_one_pair_at_a_time(tmp_path):
+    """Each pair is written before the next is made: four times the training
+    pairs raise the peak by less than one pair's samples."""
+    cfg = AnalysisConfig.for_rate(48000)
+
+    def corpus(n_train):
+        return traced_peak(lambda: make_corpus(
+            tmp_path / str(n_train), cfg=cfg, n_train=n_train, n_val=1,
+            n_test=1, duration_s=1.0, seed=5, edge_silence_s=0.0))
+
+    corpus(1)  # first-call allocations that later calls reuse
+    pair_bytes = 2 * 48000 * np.dtype(np.float64).itemsize
+    few = corpus(2)
+    assert corpus(8) - few < pair_bytes
+
+
+BAD_LENGTHS = [
+    pytest.param(0.0, 0.0, "duration_s", id="zero-duration"),
+    pytest.param(-1.0, 0.0, "duration_s", id="negative-duration"),
+    pytest.param(1e-4, 0.0, "duration_s", id="under-one-window"),
+    pytest.param(float("nan"), 0.0, "duration_s", id="nan-duration"),
+    pytest.param(float("inf"), 0.0, "duration_s", id="inf-duration"),
+    pytest.param(0.3, float("nan"), "edge_silence_s", id="nan-silence"),
+    pytest.param(0.3, -0.1, "edge_silence_s", id="negative-silence"),
+    pytest.param(0.3, float("inf"), "edge_silence_s", id="inf-silence"),
+]
+
+
+@pytest.mark.parametrize("duration_s, edge_silence_s, name", BAD_LENGTHS)
+def test_generators_reject_bad_lengths(small_cfg, rng, tmp_path, duration_s,
+                                       edge_silence_s, name):
+    """Every generator names the bad argument before any sample is made."""
+    delta = default_differential(small_cfg)
+    calls = (
+        lambda: synth_source(small_cfg, duration_s, rng, edge_silence_s),
+        lambda: make_pair(small_cfg, delta, duration_s, rng, edge_silence_s),
+        lambda: list(make_pairs(small_cfg, 2, duration_s, rng,
+                                edge_silence_s=edge_silence_s)),
+        lambda: make_corpus(tmp_path, cfg=small_cfg, n_train=1, n_val=1,
+                            n_test=1, duration_s=duration_s,
+                            edge_silence_s=edge_silence_s),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=name):
+            call()
+    assert not list(tmp_path.glob("*.wav"))
+
+
+def test_shortest_utterance_is_one_window(small_cfg, rng):
+    wave = synth_source(small_cfg, small_cfg.window_len / small_cfg.sample_rate,
+                        rng)
+    assert len(wave) == small_cfg.window_len
+
+
+def test_demo_corpus_script_reports_bad_duration(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "make_demo_corpus", ROOT / "scripts" / "make_demo_corpus.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--duration", "0", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration_s") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.wav"))
