@@ -11,7 +11,10 @@ prints one `sha256  name` line per artifact: the samples of a fixed-seed
 silence (the corpus is at 16 kHz, so these pin the full-band generator),
 the run document that
 `make_corpus` writes (with the scratch directory replaced by a fixed
-placeholder, so the hash does not depend on it), dataset arrays, model files
+placeholder, so the hash does not depend on it), dataset arrays (each
+`.npz` array, and the full-width `src_spec` that `TrainingSet` derives
+from the stored half spectra, so its line compares with the `src_spec`
+array that datasets stored before they held half spectra), model files
 (two lines each: the config document and the parameter bytes), the
 training logs (two lines each: the training loss, and the validation loss
 with its rmse), eval, cumpow, sweep, lifter and
@@ -41,7 +44,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from liftervc import AnalysisConfig
+from liftervc import AnalysisConfig, TrainingSet
 from liftervc.cli import main as cli
 from liftervc.config import SPLITS
 from liftervc.model import MAGIC
@@ -116,8 +119,10 @@ def main(argv=None) -> int:
 
     for split in SPLITS:
         with np.load(work / f"{split}.npz") as data:
-            for key in sorted(data.files):
-                out[f"{split}.npz:{key}"] = digest(data[key].tobytes())
+            arrays = {key: data[key] for key in data.files}
+        arrays["src_spec"] = TrainingSet.load(work / f"{split}.npz")[0].src_spec
+        for key in sorted(arrays):
+            out[f"{split}.npz:{key}"] = digest(arrays[key].tobytes())
     model_digests(out, "model.lvc", work / "model.lvc")
     log_digests(out, "pretrain_log", work / "pretrain_log.csv")
 

@@ -100,12 +100,10 @@ def dtw_align(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
 def align_pair(src: Waveform, tgt: Waveform, cfg: AnalysisConfig
                ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Analyze a source/target utterance pair and warp it onto a common time
-    axis: (src_cep, tgt_cep, src_spec), one row per path step. src_spec holds
-    the full complex source spectra (stft's half mirrored back to fft_len
-    bins), which the training chain needs."""
-    src_spec = stft(src, cfg)
-    src_cep = real_cepstrum(src_spec, cfg)
+    axis: (src_cep, tgt_cep, src_half), one row per path step. src_half
+    holds stft's half source spectra, the bins the training chain reads."""
+    src_half = stft(src, cfg)
+    src_cep = real_cepstrum(src_half, cfg)
     tgt_cep = real_cepstrum(stft(tgt, cfg), cfg)
-    src_spec = np.hstack([src_spec, src_spec[:, (cfg.fft_len - 1) // 2:0:-1].conj()])
     path = dtw_align(alignment_features(src_cep), alignment_features(tgt_cep))
-    return src_cep[path[:, 0]], tgt_cep[path[:, 1]], src_spec[path[:, 0]]
+    return src_cep[path[:, 0]], tgt_cep[path[:, 1]], src_half[path[:, 0]]

@@ -16,18 +16,19 @@ from .spectral import Waveform
 class TrainingSet:
     """Frame-level training data pooled over utterances.
 
-    src_cep, tgt_cep: (T, c) aligned cepstra, T > 0. src_spec: (T, fft_len)
-    complex source spectra, all bins, at the warped positions. offsets:
-    utterance boundaries, offsets[u]..offsets[u+1] is utterance u's frames.
+    src_cep, tgt_cep: (T, c) aligned cepstra, T > 0. src_half: (T, bins)
+    complex source spectra at the warped positions, the fft_len // 2 + 1
+    non-negative-frequency bins stft gives. offsets: utterance boundaries,
+    offsets[u]..offsets[u+1] is utterance u's frames.
     """
 
     src_cep: np.ndarray
     tgt_cep: np.ndarray
-    src_spec: np.ndarray
+    src_half: np.ndarray
     offsets: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 < len(self.src_cep) == len(self.tgt_cep) == len(self.src_spec):
+        if not 0 < len(self.src_cep) == len(self.tgt_cep) == len(self.src_half):
             raise ValueError("frame arrays must be non-empty and of equal length")
         self.offsets = np.asarray(self.offsets, dtype=np.intp)
         if self.offsets[0] != 0 or self.offsets[-1] != len(self.src_cep):
@@ -37,6 +38,17 @@ class TrainingSet:
 
     def __len__(self) -> int:
         return len(self.src_cep)
+
+    @property
+    def src_spec(self) -> np.ndarray:
+        """The full (T, 2 * (bins - 1)) source spectra, bin n - k the
+        conjugate of bin k, in one new array per call. The package never
+        calls it; it serves readers that score with an fft_len-point DFT."""
+        bins = self.src_half.shape[1]
+        full = np.empty((len(self), 2 * (bins - 1)), dtype=complex)
+        full[:, :bins] = self.src_half
+        np.conjugate(self.src_half[:, -2:0:-1], out=full[:, bins:])
+        return full
 
     @property
     def n_utterances(self) -> int:
@@ -50,13 +62,16 @@ class TrainingSet:
     def load(cls, path, cfg: AnalysisConfig | None = None
              ) -> "tuple[TrainingSet, AnalysisConfig]":
         with np.load(path) as data:
+            if "src_spec" in data.files:
+                raise ValueError(f"{path} holds full-width src_spec from an older "
+                                 "version; re-run `liftervc prep` to rewrite it")
             meta = AnalysisConfig(**json.loads(str(data["meta"])))
             if cfg is not None and meta != cfg:
                 raise ValueError(
                     f"dataset analysis config {meta} does not match expected {cfg}")
             arrays = {f.name: data[f.name] for f in fields(cls)}
         for name, width in (("src_cep", meta.cep_dim), ("tgt_cep", meta.cep_dim),
-                            ("src_spec", meta.fft_len)):
+                            ("src_half", meta.bins)):
             arr = arrays[name]
             if arr.shape[1:] != (width,) or not np.isfinite(arr).all():
                 raise ValueError(f"{path}: {name} must be finite with shape "
@@ -79,6 +94,6 @@ def build_dataset(waves: "list[tuple[Waveform, Waveform]]", cfg: AnalysisConfig,
         aligned.append(align_pair(src, tgt, cfg))
     if not aligned:
         raise ValueError("no utterance pairs")
-    src_cep, tgt_cep, src_spec = (np.concatenate(arrs) for arrs in zip(*aligned))
-    return TrainingSet(src_cep, tgt_cep, src_spec,
+    src_cep, tgt_cep, src_half = (np.concatenate(arrs) for arrs in zip(*aligned))
+    return TrainingSet(src_cep, tgt_cep, src_half,
                        offsets=np.cumsum([0] + [len(a[0]) for a in aligned]))

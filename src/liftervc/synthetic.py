@@ -79,17 +79,25 @@ def default_differential(cfg: AnalysisConfig) -> np.ndarray:
         gain=1.08)
 
 
+def _check_lengths(cfg: AnalysisConfig, duration_s: float,
+                  edge_silence_s: float) -> None:
+    """Raise unless duration_s gives at least one analysis window of samples
+    and edge_silence_s is finite and >= 0."""
+    if not (np.isfinite(duration_s)
+            and round(duration_s * cfg.sample_rate) >= cfg.window_len):
+        raise ValueError(f"duration_s {duration_s} gives fewer than "
+                         f"window_len = {cfg.window_len} samples")
+    if not 0.0 <= edge_silence_s < np.inf:
+        raise ValueError(f"edge_silence_s {edge_silence_s} must be finite and >= 0")
+
+
 def synth_source(cfg: AnalysisConfig, duration_s: float,
                  rng: np.random.Generator,
                  edge_silence_s: float = 0.0) -> Waveform:
     """Harmonic-plus-noise test audio with vibrato and a slow amplitude
     envelope; optionally padded with digital silence at both ends."""
+    _check_lengths(cfg, duration_s, edge_silence_s)
     sr = cfg.sample_rate
-    if not (np.isfinite(duration_s) and round(duration_s * sr) >= cfg.window_len):
-        raise ValueError(f"duration_s {duration_s} gives fewer than "
-                         f"window_len = {cfg.window_len} samples")
-    if not 0.0 <= edge_silence_s < np.inf:
-        raise ValueError(f"edge_silence_s {edge_silence_s} must be finite and >= 0")
     n = int(round(duration_s * sr))
     t = np.arange(n) / sr
 
@@ -157,6 +165,7 @@ def make_corpus(out_dir, cfg: AnalysisConfig | None = None, n_train: int = 12,
                 seed: int = 0, edge_silence_s: float = 0.1) -> RunConfig:
     """Write a WAV corpus plus a ready-to-run config document to out_dir."""
     cfg = cfg or AnalysisConfig()
+    _check_lengths(cfg, duration_s, edge_silence_s)  # before out_dir exists
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

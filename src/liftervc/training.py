@@ -130,9 +130,9 @@ def train_lifter(model: AcousticModel, data: TrainingSet, cfg: TrainConfig,
     Adam. The reported rmse is the root of the validation chain loss at
     cfg.taps.
     """
-    def step(idx):  # the chain reads only the source spectra's half
+    def step(idx):
         result, grads = chain_gradients(
-            model, data.src_cep[idx], data.src_spec[idx, :model.cfg.bins],
+            model, data.src_cep[idx], data.src_half[idx],
             data.tgt_cep[idx], cfg.taps)
         return float(result.frame_losses.sum()), grads
 

@@ -152,11 +152,11 @@ def test_align_pair_time_shift(small_cfg, rng):
     pad = np.zeros(small_cfg.hop * 3)
     src = Waveform(np.concatenate([burst, pad]), small_cfg.sample_rate)
     tgt = Waveform(np.concatenate([pad, burst]), small_cfg.sample_rate)
-    src_cep, tgt_cep, src_spec = align_pair(src, tgt, small_cfg)
-    assert len(src_cep) == len(tgt_cep) == len(src_spec)
+    src_cep, tgt_cep, src_half = align_pair(src, tgt, small_cfg)
+    assert len(src_cep) == len(tgt_cep) == len(src_half)
     assert len(src_cep) >= max(len(src), len(tgt)) // small_cfg.hop
     assert src_cep.shape[1] == small_cfg.cep_dim
-    assert src_spec.shape[1] == small_cfg.fft_len
+    assert src_half.shape[1] == small_cfg.bins
     # the warped sequences should be closer than an unwarped pairing
     n = min(stft_len_frames(src, small_cfg), stft_len_frames(tgt, small_cfg))
     from liftervc import real_cepstrum, stft

@@ -132,7 +132,7 @@ def test_eval_rmse_matches_chain_loss(small_cfg, rng):
     assert report.n_frames == len(val)
     assert report.per_utterance.shape == (val.n_utterances,)
     chain = chain_forward(model.forward(val.src_cep), model.lifter.coeffs,
-                          val.src_spec, val.tgt_cep, 10, small_cfg)
+                          val.src_half, val.tgt_cep, 10, small_cfg)
     want = np.sqrt(chain.loss)
     assert report.rmse == pytest.approx(want, rel=1e-12)
     # pooled rmse is the frame-weighted quadratic mean of per-utterance rmses

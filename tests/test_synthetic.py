@@ -207,14 +207,14 @@ def test_generators_reject_bad_lengths(small_cfg, rng, tmp_path, duration_s,
         lambda: make_pair(small_cfg, delta, duration_s, rng, edge_silence_s),
         lambda: list(make_pairs(small_cfg, 2, duration_s, rng,
                                 edge_silence_s=edge_silence_s)),
-        lambda: make_corpus(tmp_path, cfg=small_cfg, n_train=1, n_val=1,
-                            n_test=1, duration_s=duration_s,
+        lambda: make_corpus(tmp_path / "corpus", cfg=small_cfg, n_train=1,
+                            n_val=1, n_test=1, duration_s=duration_s,
                             edge_silence_s=edge_silence_s),
     )
     for call in calls:
         with pytest.raises(ValueError, match=name):
             call()
-    assert not list(tmp_path.glob("*.wav"))
+    assert not (tmp_path / "corpus").exists()  # nothing left behind
 
 
 def test_shortest_utterance_is_one_window(small_cfg, rng):
@@ -228,7 +228,8 @@ def test_demo_corpus_script_reports_bad_duration(tmp_path, capsys):
         "make_demo_corpus", ROOT / "scripts" / "make_demo_corpus.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.main(["--duration", "0", "--out", str(tmp_path)]) == 1
+    out = tmp_path / "demo"
+    assert script.main(["--duration", "0", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: duration_s") and err.count("\n") == 1
-    assert not list(tmp_path.glob("*.wav"))
+    assert not out.exists()

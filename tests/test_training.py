@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -7,13 +8,15 @@ import pytest
 
 from liftervc import (AcousticModel, AnalysisConfig, Lifter, TrainConfig,
                       TrainingSet, constant_model, cumulative_power,
-                      frame_losses, pretrain_conventional, save_model,
-                      train_lifter)
+                      eval_rmse, frame_losses, pretrain_conventional,
+                      save_model, train_lifter)
 from liftervc import runtime
 from liftervc.cli import main as cli
 from liftervc.dataset import build_dataset
 from liftervc.training import EpochRow, TrainLog, set_normalization
 from liftervc.synthetic import make_pairs
+
+from naive import full_spectrum
 
 
 def written_losses(log, path) -> list:
@@ -39,7 +42,7 @@ def test_dataset_structure(small_cfg, rng):
     assert np.all(np.diff(data.offsets) > 0)
     assert data.offsets[-1] == len(data)
     assert data.src_cep.shape[1] == small_cfg.cep_dim
-    assert data.src_spec.shape[1] == small_cfg.fft_len
+    assert data.src_half.shape[1] == small_cfg.bins
 
 
 def test_dataset_save_load_roundtrip(small_cfg, rng, tmp_path):
@@ -49,21 +52,85 @@ def test_dataset_save_load_roundtrip(small_cfg, rng, tmp_path):
     loaded, meta = TrainingSet.load(path)
     assert meta == small_cfg
     assert np.array_equal(loaded.src_cep, data.src_cep)
-    assert np.array_equal(loaded.src_spec, data.src_spec)
+    assert np.array_equal(loaded.src_half, data.src_half)
     assert np.array_equal(loaded.offsets, data.offsets)
     with pytest.raises(ValueError):
         TrainingSet.load(path, AnalysisConfig.for_rate(16000))
 
 
+def test_package_never_needs_full_width_spectra(small_cfg, rng, tmp_path,
+                                                monkeypatch):
+    """Build, save, load, both training stages, eval and cumpow all run on
+    the stored half spectra: the derived, allocating src_spec is never read."""
+    def refuse(self):
+        raise AssertionError("TrainingSet.src_spec was read")
+
+    monkeypatch.setattr(TrainingSet, "src_spec", property(refuse))
+    data, _ = tiny_dataset(small_cfg, rng)
+    data.save(tmp_path / "d.npz", small_cfg)
+    loaded, _ = TrainingSet.load(tmp_path / "d.npz", small_cfg)
+    model = AcousticModel(small_cfg, hidden=(4, 3), seed=0)
+    cfg = TrainConfig(taps=8, pretrain_lr=1e-3, finetune_lr=1e-4,
+                      batch_size=64, epochs=1, seed=0)
+    pretrain_conventional(model, loaded, cfg, loaded)
+    train_lifter(model, loaded, cfg, loaded)
+    eval_rmse(model, loaded, cfg.taps)
+    cumulative_power(model, loaded)
+
+
+def test_src_spec_is_the_mirrored_half(small_cfg, rng):
+    """The derived full-width spectra, bit for bit, are the oracle's mirror
+    of the stored half."""
+    data, _ = tiny_dataset(small_cfg, rng)
+    full = data.src_spec
+    assert full.shape == (len(data), small_cfg.fft_len)
+    assert full.tobytes() == full_spectrum(data.src_half,
+                                           small_cfg.fft_len).tobytes()
+
+
+def test_dataset_memory_and_file_size(tmp_path):
+    """4 pairs of 4 s at 16 kHz: half spectra keep the .npz under 5,000
+    bytes a frame (full-width ones took 8,832) and build_dataset's traced
+    peak within 32 MiB (54 MiB with full-width ones)."""
+    cfg = AnalysisConfig.for_rate(16000)
+    waves = list(make_pairs(cfg, 4, 4.0, np.random.default_rng(0)))
+    tracemalloc.start()
+    try:
+        data = build_dataset(waves, cfg, trim_db=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data.save(tmp_path / "d.npz", cfg)
+    assert (tmp_path / "d.npz").stat().st_size < 5000 * len(data)
+    assert peak <= 32 * 2 ** 20
+
+
+def test_full_width_dataset_is_refused(small_cfg, rng, tmp_path, capsys):
+    """An .npz that stores full-width src_spec, as older versions wrote, is
+    refused with one line that says to re-run prep."""
+    data, _ = tiny_dataset(small_cfg, rng)
+    path = tmp_path / "old.npz"
+    np.savez(path, src_cep=data.src_cep, tgt_cep=data.tgt_cep,
+             src_spec=data.src_spec, offsets=data.offsets,
+             meta=np.array(json.dumps(asdict(small_cfg))))
+    with pytest.raises(ValueError, match="prep"):
+        TrainingSet.load(path)
+    save_model(AcousticModel(small_cfg, hidden=(4, 3)), tmp_path / "m.lvc")
+    code = cli(["eval", "--model", str(tmp_path / "m.lvc"), "--pairs", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and "prep" in err
+    assert err.count("\n") == 1
+
+
 def test_dataset_validates_offsets(small_cfg, rng):
     data, _ = tiny_dataset(small_cfg, rng)
     with pytest.raises(ValueError):
-        TrainingSet(data.src_cep, data.tgt_cep, data.src_spec,
+        TrainingSet(data.src_cep, data.tgt_cep, data.src_half,
                     offsets=np.array([1, len(data)]))
     # Decreasing offsets, and an utterance with no frames.
     for offsets in ([0, 55, 50, len(data)], [0, 50, 50, len(data)]):
         with pytest.raises(ValueError, match="every utterance needs frames"):
-            TrainingSet(data.src_cep, data.tgt_cep, data.src_spec,
+            TrainingSet(data.src_cep, data.tgt_cep, data.src_half,
                         offsets=np.array(offsets))
     with pytest.raises(ValueError, match="no utterance pairs"):
         build_dataset([], small_cfg, trim_db=None)
@@ -132,7 +199,7 @@ def test_training_set_rejects_empty(small_cfg, tmp_path, capsys):
     error line."""
     arrays = dict(src_cep=np.zeros((0, small_cfg.cep_dim)),
                   tgt_cep=np.zeros((0, small_cfg.cep_dim)),
-                  src_spec=np.zeros((0, small_cfg.fft_len), dtype=complex),
+                  src_half=np.zeros((0, small_cfg.bins), dtype=complex),
                   offsets=np.zeros(1, dtype=np.intp))
     with pytest.raises(ValueError, match="non-empty"):
         TrainingSet(**arrays)
