@@ -38,7 +38,7 @@ def main(argv=None) -> int:
         return 1
     run.train = dataclasses.replace(run.train, epochs=args.epochs)
     run.to_json(out / "config.json")
-    n = args.n_train + args.n_val + args.n_test
+    n = sum(len(pairs) for pairs in run.data.values())
     print(f"wrote {2 * n} WAV files and {out / 'config.json'}")
     print(f"next: liftervc prep --config {out / 'config.json'}")
     return 0

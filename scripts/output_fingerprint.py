@@ -12,9 +12,10 @@ silence (the corpus is at 16 kHz, so these pin the full-band generator),
 the run document that
 `make_corpus` writes (with the scratch directory replaced by a fixed
 placeholder, so the hash does not depend on it), dataset arrays (each
-`.npz` array, and the full-width `src_spec` that `TrainingSet` derives
-from the stored half spectra, so its line compares with the `src_spec`
-array that datasets stored before they held half spectra), model files
+`.npz` array, among them the source waveform `src_wave` and the per-frame
+`frame_start`, and the full-width `src_spec` that `TrainingSet` derives
+from them, so its line compares with the `src_spec` array that datasets
+stored before they held waveforms), model files
 (two lines each: the config document and the parameter bytes), the
 training logs (two lines each: the training loss, and the validation loss
 with its rmse), eval, cumpow, sweep, lifter and

@@ -98,12 +98,14 @@ def dtw_align(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
 
 
 def align_pair(src: Waveform, tgt: Waveform, cfg: AnalysisConfig
-               ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+               ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """Analyze a source/target utterance pair and warp it onto a common time
-    axis: (src_cep, tgt_cep, src_half), one row per path step. src_half
-    holds stft's half source spectra, the bins the training chain reads."""
-    src_half = stft(src, cfg)
-    src_cep = real_cepstrum(src_half, cfg)
+    axis: (src_cep, tgt_cep) with one row per path step, the source's
+    samples zero-padded to its analysis span (frames - 1) * hop +
+    window_len as stft pads them, and per path step the sample of that span
+    where its source frame begins."""
+    src_cep = real_cepstrum(stft(src, cfg), cfg)
     tgt_cep = real_cepstrum(stft(tgt, cfg), cfg)
     path = dtw_align(alignment_features(src_cep), alignment_features(tgt_cep))
-    return src_cep[path[:, 0]], tgt_cep[path[:, 1]], src_half[path[:, 0]]
+    padded = _span(src.samples, 0, (len(src_cep) - 1) * cfg.hop + cfg.window_len)
+    return src_cep[path[:, 0]], tgt_cep[path[:, 1]], padded, cfg.hop * path[:, 0]

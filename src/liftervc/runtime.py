@@ -101,8 +101,9 @@ def frame_losses(model: AcousticModel, data: TrainingSet,
         if taps is None:
             err = x + cep_d - tgt
             return (err * err).sum(axis=1)
-        return chain_forward(cep_d, model.lifter.coeffs, data.src_half[start:stop],
-                             tgt, taps, model.cfg, gate=model.subband).frame_losses
+        return chain_forward(cep_d, model.lifter.coeffs,
+                             data.spectra(slice(start, stop)), tgt, taps,
+                             model.cfg, gate=model.subband).frame_losses
 
     return np.concatenate(list(map_blocks(block, len(data))))
 

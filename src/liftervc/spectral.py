@@ -71,9 +71,18 @@ def stft(wave: Waveform, cfg: AnalysisConfig, start: int = 0,
         raise ValueError(f"frame range must lie in 0..{n_frames}")
     span = _span(wave.samples, start * cfg.hop,
                  (stop - 1) * cfg.hop + cfg.window_len)
+    return windowed_spectra(span, cfg.hop * np.arange(stop - start), cfg)
+
+
+def windowed_spectra(samples: np.ndarray, starts: np.ndarray,
+                     cfg: AnalysisConfig) -> np.ndarray:
+    """Half spectra, shape (len(starts), fft_len // 2 + 1), of the
+    window_len-sample frames of samples that begin at the integer starts:
+    each frame windowed, zero-padded to fft_len and transformed. stft and
+    TrainingSet.spectra both frame through it."""
     frames = np.lib.stride_tricks.sliding_window_view(
-        span, cfg.window_len)[::cfg.hop]
-    frames = frames * analysis_window(cfg)
+        samples, cfg.window_len)[starts]
+    frames *= analysis_window(cfg)
     return np.fft.rfft(frames, n=cfg.fft_len, axis=1)
 
 

@@ -166,6 +166,9 @@ def make_corpus(out_dir, cfg: AnalysisConfig | None = None, n_train: int = 12,
     """Write a WAV corpus plus a ready-to-run config document to out_dir."""
     cfg = cfg or AnalysisConfig()
     _check_lengths(cfg, duration_s, edge_silence_s)  # before out_dir exists
+    if n_train < 1 or min(n_val, n_test) < 0:
+        raise ValueError(f"pair counts must be n_train >= 1 and n_val, n_test "
+                         f">= 0, got {n_train}, {n_val}, {n_test}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -132,7 +132,7 @@ def train_lifter(model: AcousticModel, data: TrainingSet, cfg: TrainConfig,
     """
     def step(idx):
         result, grads = chain_gradients(
-            model, data.src_cep[idx], data.src_half[idx],
+            model, data.src_cep[idx], data.spectra(idx),
             data.tgt_cep[idx], cfg.taps)
         return float(result.frame_losses.sum()), grads
 

@@ -43,7 +43,8 @@ def sweep():
 
 def random_chain_instance(i: int):
     """Desk-scale random problem: config, model, a few analysis frames and
-    a random target, with the gate enabled on every third instance."""
+    a random target, with the gate enabled on every third instance; last,
+    the waveform whose first three stft frames the spectra are."""
     rng = np.random.default_rng(1000 + i)
     fft_len = int(rng.integers(8, 33)) * 2
     window = fft_len - 2 * int(rng.integers(0, fft_len // 8))
@@ -70,7 +71,7 @@ def random_chain_instance(i: int):
         gate = SubbandGate(crossover_hz=float(rng.uniform(1600, 4800)),
                            steepness_hz=float(rng.uniform(150, 600)))
     model.subband = gate
-    return rng, cfg, model, cep_x, spec_x, tgt, taps, gate
+    return rng, cfg, model, cep_x, spec_x, tgt, taps, gate, wave
 
 
 def rel_err(a: float, b: float) -> float:
@@ -86,7 +87,7 @@ def test_gradient_fidelity(capsys):
     worst, n_instances, n_checks = 0.0, 100, 0
 
     for i in range(n_instances):
-        rng, cfg, model, cep_x, spec_x, tgt, taps, gate = \
+        rng, cfg, model, cep_x, spec_x, tgt, taps, gate, _ = \
             random_chain_instance(i)
         entries = model.trainable_entries(include_lifter=True)
         params = [p for _, p in entries]
@@ -159,15 +160,20 @@ def test_naive_oracle_equivalence(capsys):
     t0 = time.perf_counter()
     worst = 0.0
     for i in range(40):
-        rng, cfg, model, cep_x, spec_x, tgt, taps, gate = \
+        rng, cfg, model, cep_x, spec_x, tgt, taps, gate, wave = \
             random_chain_instance(200 + i)
         if i % 2:
             got = chain_forward(model.forward(cep_x), model.lifter.coeffs,
                                 spec_x, tgt, taps, cfg, gate=gate).loss
             cep_d = model.forward(cep_x)
         else:
-            got = frame_losses(model, TrainingSet(cep_x, tgt, spec_x,
-                                                  [0, len(tgt)]), taps).mean()
+            # The set frames the waveform itself; its spectra are spec_x's
+            # half, bit for bit.
+            data = TrainingSet(cep_x, tgt, wave.samples, cfg.hop * np.arange(3),
+                               [0, len(tgt)], cfg)
+            assert (data.spectra(slice(None)).tobytes()
+                    == spec_x[:, :cfg.bins].tobytes())
+            got = frame_losses(model, data, taps).mean()
             cep_d = model.forward(cep_x)
         want = naive_chain_loss(cep_d, model.lifter.coeffs, spec_x, tgt,
                                 taps, cfg, gate=gate)
@@ -182,9 +188,11 @@ def test_naive_oracle_equivalence(capsys):
     tgt = real_cepstrum(spec_x, cfg) + rng.normal(size=(2, cfg.cep_dim)) * 0.2
     model = constant_model(cfg, default_differential(cfg))
     cep_x = real_cepstrum(spec_x, cfg)
+    data = TrainingSet(cep_x, tgt, wave.samples, cfg.hop * np.arange(2),
+                       [0, 2], cfg)
+    assert data.spectra(slice(None)).tobytes() == spec_x.tobytes()
     for taps in (32, cfg.fft_len):
-        got = frame_losses(model, TrainingSet(cep_x, tgt, spec_x, [0, 2]),
-                           taps).mean()
+        got = frame_losses(model, data, taps).mean()
         want = naive_chain_loss(model.forward(cep_x), model.lifter.coeffs,
                                 full_spectrum(spec_x, cfg.fft_len), tgt, taps,
                                 cfg)

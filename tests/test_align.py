@@ -137,12 +137,14 @@ def test_dtw_holds_two_dense_matrices(rng):
     assert peak < 2.2 * ts * tt * 8
 
 
-def test_aligned_pair_validates_lengths():
+def test_aligned_pair_validates_lengths(small_cfg):
     """Aligned frames are held by TrainingSet, which rejects frame arrays of
     unequal length."""
+    c = small_cfg.cep_dim
     with pytest.raises(ValueError, match="equal length"):
-        TrainingSet(np.zeros((3, 4)), np.zeros((2, 4)),
-                    np.zeros((3, 8), dtype=complex), [0, 3])
+        TrainingSet(np.zeros((3, c)), np.zeros((2, c)),
+                    np.zeros(small_cfg.window_len), [0, 0, 0], [0, 3],
+                    small_cfg)
 
 
 def test_align_pair_time_shift(small_cfg, rng):
@@ -152,11 +154,19 @@ def test_align_pair_time_shift(small_cfg, rng):
     pad = np.zeros(small_cfg.hop * 3)
     src = Waveform(np.concatenate([burst, pad]), small_cfg.sample_rate)
     tgt = Waveform(np.concatenate([pad, burst]), small_cfg.sample_rate)
-    src_cep, tgt_cep, src_half = align_pair(src, tgt, small_cfg)
-    assert len(src_cep) == len(tgt_cep) == len(src_half)
+    src_cep, tgt_cep, padded, starts = align_pair(src, tgt, small_cfg)
+    assert len(src_cep) == len(tgt_cep) == len(starts)
     assert len(src_cep) >= max(len(src), len(tgt)) // small_cfg.hop
     assert src_cep.shape[1] == small_cfg.cep_dim
-    assert src_half.shape[1] == small_cfg.bins
+    # The source zero-padded to its analysis span, as stft frames it, and
+    # each path step's frame start on the hop grid, in order.
+    n_frames = stft_len_frames(src, small_cfg)
+    assert padded.shape == ((n_frames - 1) * small_cfg.hop
+                            + small_cfg.window_len,)
+    assert np.array_equal(padded[:len(src)], src.samples)
+    assert not padded[len(src):].any()
+    assert (starts % small_cfg.hop == 0).all() and (np.diff(starts) >= 0).all()
+    assert starts[0] == 0 and starts[-1] == (n_frames - 1) * small_cfg.hop
     # the warped sequences should be closer than an unwarped pairing
     n = min(stft_len_frames(src, small_cfg), stft_len_frames(tgt, small_cfg))
     from liftervc import real_cepstrum, stft

@@ -373,16 +373,25 @@ def _set(a, index, value):
     ("tgt_cep", lambda a: a[:, :-1], "shape"),
     ("src_cep", lambda a: a[:, :, None], "shape"),
     ("offsets", lambda a: np.array([0.5, a[-1]]), "integers"),
-], ids=["nan-src", "inf-tgt", "narrow-tgt", "3d-src", "float-offsets"])
+    ("frame_start", lambda a: _set(a, 3, -1), "lie in"),
+    ("frame_start", lambda a: _set(a, -1, 10 ** 6), "lie in"),
+    ("frame_start", lambda a: a.astype(float), "integers"),
+    ("src_wave", lambda a: _set(a, 5, np.nan), "finite"),
+    ("src_wave", lambda a: a[:, None], "shape"),
+    ("src_half", lambda _: np.ones((4, 33), complex), "prep"),
+], ids=["nan-src", "inf-tgt", "narrow-tgt", "3d-src", "float-offsets",
+        "negative-start", "start-past-end", "float-starts", "nan-wave",
+        "2d-wave", "half-spectra"])
 def test_dataset_load_rejects_tampered_arrays(pretrained, tmp_path, capsys,
                                               key, tamper, problem):
-    """A prepared dataset with a non-finite value, a wrong shape or
-    non-integer offsets is refused as it loads, by `pretrain` before it
-    writes a model and by `eval` before it scores, with one line naming
-    the file and the array."""
+    """A prepared dataset with a non-finite value, a wrong shape,
+    non-integer offsets or frame starts, a frame start outside the stored
+    waveform, or the stored spectra of an older layout is refused as it
+    loads, by `pretrain` before it writes a model and by `eval` before it
+    scores, with one line naming the file and the array."""
     with np.load(pretrained / "train.npz") as data:
         arrays = dict(data)
-    arrays[key] = tamper(arrays[key])
+    arrays[key] = tamper(arrays.get(key))
     np.savez(tmp_path / "train.npz", **arrays)
     doc = json.loads((pretrained / "config.json").read_text())
     doc.update(model_file=str(tmp_path / "model.lvc"), output_dir=str(tmp_path))

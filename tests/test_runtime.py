@@ -132,7 +132,8 @@ def test_eval_rmse_matches_chain_loss(small_cfg, rng):
     assert report.n_frames == len(val)
     assert report.per_utterance.shape == (val.n_utterances,)
     chain = chain_forward(model.forward(val.src_cep), model.lifter.coeffs,
-                          val.src_half, val.tgt_cep, 10, small_cfg)
+                          val.spectra(slice(None)), val.tgt_cep, 10,
+                          small_cfg)
     want = np.sqrt(chain.loss)
     assert report.rmse == pytest.approx(want, rel=1e-12)
     # pooled rmse is the frame-weighted quadratic mean of per-utterance rmses
@@ -176,9 +177,18 @@ def test_convert_applies_the_filter_the_chain_scores(small_cfg, rng, taps,
                           np.ones((1, n), complex), np.zeros((1, c)), taps,
                           small_cfg, gate=gate)
     assert np.max(np.abs(measured - chain.cep_y[0])) < 1e-10
-    flat = TrainingSet(np.zeros((1, c)), np.zeros((1, c)),
-                       np.ones((1, n), complex), [0, 1])
-    assert eval_rmse(model, flat, taps).rmse == np.sqrt(chain.loss)
+    # A unit impulse where the Hann window is exactly 1 has a flat spectrum.
+    pulse = np.zeros(small_cfg.window_len)
+    pulse[small_cfg.window_len // 2] = 1.0
+    flat = TrainingSet(np.zeros((1, c)), np.zeros((1, c)), pulse, [0], [0, 1],
+                       small_cfg)
+    assert np.allclose(np.abs(flat.spectra([0])), 1.0, rtol=0.0, atol=1e-15)
+    scored = chain_forward(model.forward(np.zeros(c))[None], model.lifter.coeffs,
+                           flat.spectra([0]), np.zeros((1, c)), taps,
+                           small_cfg, gate=gate)
+    assert eval_rmse(model, flat, taps).rmse == np.sqrt(scored.loss)
+    assert np.sqrt(scored.loss) == pytest.approx(np.sqrt(chain.loss),
+                                                 rel=1e-12)
 
 
 def test_metrics_report_csv(tmp_path, small_cfg, rng):
@@ -220,7 +230,7 @@ def test_cumulative_power_counts_from_the_time_origin():
     cfg = AnalysisConfig.for_rate(48000)
     model = constant_model(cfg, default_differential(cfg))
     data = TrainingSet(np.zeros((2, cfg.cep_dim)), np.zeros((2, cfg.cep_dim)),
-                       np.zeros((2, cfg.fft_len), complex), [0, 2])
+                       np.zeros(cfg.window_len), [0, 0], [0, 2], cfg)
     ungated = cumulative_power(model, data)
     model.subband = SubbandGate()
     gated = cumulative_power(model, data)
@@ -276,10 +286,11 @@ def test_dataset_scores_are_bit_identical_across_worker_counts(monkeypatch,
     model = random_model(ORACLE_CFG, 9)
     model.subband = ORACLE_GATE if gated else None
     r = np.random.default_rng(9)
-    n, c, width = 3 * BLOCK + 5, ORACLE_CFG.cep_dim, ORACLE_CFG.fft_len
-    data = TrainingSet(r.normal(size=(n, c)), r.normal(size=(n, c)),
-                       r.normal(size=(n, width)) + 1j * r.normal(size=(n, width)),
-                       [0, BLOCK + 7, n])
+    n, c, hop = 3 * BLOCK + 5, ORACLE_CFG.cep_dim, ORACLE_CFG.hop
+    wave = r.normal(size=n * hop + ORACLE_CFG.window_len)
+    data = TrainingSet(r.normal(size=(n, c)), r.normal(size=(n, c)), wave,
+                       r.integers(0, n * hop + 1, size=n), [0, BLOCK + 7, n],
+                       ORACLE_CFG)
     scores = []
     for count in (1, 2, 3):
         cpus(monkeypatch, count)

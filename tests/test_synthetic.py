@@ -223,13 +223,40 @@ def test_shortest_utterance_is_one_window(small_cfg, rng):
     assert len(wave) == small_cfg.window_len
 
 
-def test_demo_corpus_script_reports_bad_duration(tmp_path, capsys):
+def demo_corpus_script():
     spec = importlib.util.spec_from_file_location(
         "make_demo_corpus", ROOT / "scripts" / "make_demo_corpus.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_demo_corpus_script_reports_bad_duration(tmp_path, capsys):
+    script = demo_corpus_script()
     out = tmp_path / "demo"
     assert script.main(["--duration", "0", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: duration_s") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_train, n_val, n_test", [
+    (0, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1),
+], ids=["no-train", "negative-train", "negative-val", "negative-test"])
+def test_make_corpus_rejects_bad_pair_counts(small_cfg, tmp_path, capsys,
+                                             n_train, n_val, n_test):
+    """No training pair, or a negative count for any split, is refused
+    before out_dir is created, by make_corpus and by the script (exit 1,
+    one line)."""
+    with pytest.raises(ValueError, match="pair counts"):
+        make_corpus(tmp_path / "corpus", cfg=small_cfg, n_train=n_train,
+                    n_val=n_val, n_test=n_test, duration_s=0.1)
+    assert not (tmp_path / "corpus").exists()
+    out = tmp_path / "demo"
+    argv = ["--n-train", str(n_train), "--n-val", str(n_val),
+            "--n-test", str(n_test), "--duration", "0.05", "--out", str(out)]
+    assert demo_corpus_script().main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair counts") and err.count("\n") == 1
+    assert not out.exists()
+

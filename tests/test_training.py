@@ -11,12 +11,15 @@ from liftervc import (AcousticModel, AnalysisConfig, Lifter, TrainConfig,
                       eval_rmse, frame_losses, pretrain_conventional,
                       save_model, train_lifter)
 from liftervc import runtime
+from liftervc.align import alignment_features, dtw_align, trim_silence
+from liftervc.cepstral import real_cepstrum
 from liftervc.cli import main as cli
 from liftervc.dataset import build_dataset
 from liftervc.training import EpochRow, TrainLog, set_normalization
+from liftervc.spectral import stft
 from liftervc.synthetic import make_pairs
 
-from naive import full_spectrum
+from naive import full_spectrum, naive_stft
 
 
 def written_losses(log, path) -> list:
@@ -42,7 +45,8 @@ def test_dataset_structure(small_cfg, rng):
     assert np.all(np.diff(data.offsets) > 0)
     assert data.offsets[-1] == len(data)
     assert data.src_cep.shape[1] == small_cfg.cep_dim
-    assert data.src_half.shape[1] == small_cfg.bins
+    assert data.src_wave.ndim == 1 and data.frame_start.shape == (len(data),)
+    assert data.spectra([0, 1]).shape == (2, small_cfg.bins)
 
 
 def test_dataset_save_load_roundtrip(small_cfg, rng, tmp_path):
@@ -52,8 +56,10 @@ def test_dataset_save_load_roundtrip(small_cfg, rng, tmp_path):
     loaded, meta = TrainingSet.load(path)
     assert meta == small_cfg
     assert np.array_equal(loaded.src_cep, data.src_cep)
-    assert np.array_equal(loaded.src_half, data.src_half)
+    assert np.array_equal(loaded.src_wave, data.src_wave)
+    assert np.array_equal(loaded.frame_start, data.frame_start)
     assert np.array_equal(loaded.offsets, data.offsets)
+    assert loaded.cfg == small_cfg
     with pytest.raises(ValueError):
         TrainingSet.load(path, AnalysisConfig.for_rate(16000))
 
@@ -61,7 +67,8 @@ def test_dataset_save_load_roundtrip(small_cfg, rng, tmp_path):
 def test_package_never_needs_full_width_spectra(small_cfg, rng, tmp_path,
                                                 monkeypatch):
     """Build, save, load, both training stages, eval and cumpow all run on
-    the stored half spectra: the derived, allocating src_spec is never read."""
+    the stored waveform and frame starts: the derived, allocating src_spec is
+    never read."""
     def refuse(self):
         raise AssertionError("TrainingSet.src_spec was read")
 
@@ -80,18 +87,44 @@ def test_package_never_needs_full_width_spectra(small_cfg, rng, tmp_path,
 
 def test_src_spec_is_the_mirrored_half(small_cfg, rng):
     """The derived full-width spectra, bit for bit, are the oracle's mirror
-    of the stored half."""
+    of the half spectra, also across src_spec's blocks of rows."""
     data, _ = tiny_dataset(small_cfg, rng)
     full = data.src_spec
     assert full.shape == (len(data), small_cfg.fft_len)
-    assert full.tobytes() == full_spectrum(data.src_half,
+    assert full.tobytes() == full_spectrum(data.spectra(slice(None)),
                                            small_cfg.fft_len).tobytes()
+    assert len(data) % 256 and len(data) > 2 * 256  # a partial last block
+
+
+def test_spectra_are_the_trimmed_sources_stft_rows(small_cfg):
+    """spectra(rows) is, bit for bit, stft of each trimmed source at the
+    rows its DTW path visits, whatever rows a batch asks for, and the
+    oracle's per-frame DFT within 1e-12."""
+    rng = np.random.default_rng(5)
+    pairs = list(make_pairs(small_cfg, 3, 0.5, rng, edge_silence_s=0.05))
+    data = build_dataset(pairs, small_cfg, trim_db=30.0)
+    rows, oracle = [], []
+    for src, tgt in pairs:
+        src, tgt = (trim_silence(w, small_cfg, 30.0) for w in (src, tgt))
+        spec = stft(src, small_cfg)
+        path = dtw_align(alignment_features(real_cepstrum(spec, small_cfg)),
+                         alignment_features(real_cepstrum(stft(tgt, small_cfg),
+                                                          small_cfg)))
+        rows.append(spec[path[:, 0]])
+        oracle.append(naive_stft(src.samples, small_cfg)[path[:, 0]])
+    want = np.concatenate(rows)
+    assert data.spectra(slice(None)).tobytes() == want.tobytes()
+    idx = np.random.default_rng(6).permutation(len(data))[:37]
+    assert data.spectra(idx).tobytes() == want[idx].tobytes()
+    got = full_spectrum(data.spectra(slice(None)), small_cfg.fft_len)
+    assert np.max(np.abs(got - np.concatenate(oracle))) < 1e-12
 
 
 def test_dataset_memory_and_file_size(tmp_path):
-    """4 pairs of 4 s at 16 kHz: half spectra keep the .npz under 5,000
-    bytes a frame (full-width ones took 8,832) and build_dataset's traced
-    peak within 32 MiB (54 MiB with full-width ones)."""
+    """4 pairs of 4 s at 16 kHz: storing the source waveform and one frame
+    start per path step, not spectra, keeps the .npz under 1,500 bytes a
+    frame (half spectra took 4,752), build_dataset's traced peak within
+    16 MiB (29.1 MiB with half spectra) and load's within 6 MiB (15.3)."""
     cfg = AnalysisConfig.for_rate(16000)
     waves = list(make_pairs(cfg, 4, 4.0, np.random.default_rng(0)))
     tracemalloc.start()
@@ -101,13 +134,22 @@ def test_dataset_memory_and_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     data.save(tmp_path / "d.npz", cfg)
-    assert (tmp_path / "d.npz").stat().st_size < 5000 * len(data)
-    assert peak <= 32 * 2 ** 20
+    del data
+    tracemalloc.start()
+    try:
+        loaded, _ = TrainingSet.load(tmp_path / "d.npz", cfg)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "d.npz").stat().st_size < 1500 * len(loaded)
+    assert peak <= 16 * 2 ** 20
+    assert load_peak <= 6 * 2 ** 20
 
 
 def test_full_width_dataset_is_refused(small_cfg, rng, tmp_path, capsys):
     """An .npz that stores full-width src_spec, as older versions wrote, is
-    refused with one line that says to re-run prep."""
+    refused with one line that says to re-run prep (test_cli covers the
+    half-width src_half of the version after)."""
     data, _ = tiny_dataset(small_cfg, rng)
     path = tmp_path / "old.npz"
     np.savez(path, src_cep=data.src_cep, tgt_cep=data.tgt_cep,
@@ -124,14 +166,13 @@ def test_full_width_dataset_is_refused(small_cfg, rng, tmp_path, capsys):
 
 def test_dataset_validates_offsets(small_cfg, rng):
     data, _ = tiny_dataset(small_cfg, rng)
+    arrays = (data.src_cep, data.tgt_cep, data.src_wave, data.frame_start)
     with pytest.raises(ValueError):
-        TrainingSet(data.src_cep, data.tgt_cep, data.src_half,
-                    offsets=np.array([1, len(data)]))
+        TrainingSet(*arrays, offsets=np.array([1, len(data)]), cfg=small_cfg)
     # Decreasing offsets, and an utterance with no frames.
     for offsets in ([0, 55, 50, len(data)], [0, 50, 50, len(data)]):
         with pytest.raises(ValueError, match="every utterance needs frames"):
-            TrainingSet(data.src_cep, data.tgt_cep, data.src_half,
-                        offsets=np.array(offsets))
+            TrainingSet(*arrays, offsets=np.array(offsets), cfg=small_cfg)
     with pytest.raises(ValueError, match="no utterance pairs"):
         build_dataset([], small_cfg, trim_db=None)
 
@@ -199,10 +240,11 @@ def test_training_set_rejects_empty(small_cfg, tmp_path, capsys):
     error line."""
     arrays = dict(src_cep=np.zeros((0, small_cfg.cep_dim)),
                   tgt_cep=np.zeros((0, small_cfg.cep_dim)),
-                  src_half=np.zeros((0, small_cfg.bins), dtype=complex),
+                  src_wave=np.zeros(small_cfg.window_len),
+                  frame_start=np.zeros(0, dtype=np.intp),
                   offsets=np.zeros(1, dtype=np.intp))
     with pytest.raises(ValueError, match="non-empty"):
-        TrainingSet(**arrays)
+        TrainingSet(**arrays, cfg=small_cfg)
     np.savez(tmp_path / "empty.npz", **arrays,
              meta=np.array(json.dumps(asdict(small_cfg))))
     save_model(AcousticModel(small_cfg, hidden=(4, 3)), tmp_path / "m.lvc")
