@@ -11,7 +11,7 @@ import numpy as np
 
 from .cepstral import Lifter, real_cepstrum
 from .chain import chain_forward
-from .config import SubbandGate
+from .config import AnalysisConfig, SubbandGate
 from .dataset import TrainingSet
 from .filters import conversion_filters
 from .model import AcousticModel
@@ -19,15 +19,24 @@ from .spectral import Waveform, frame_count, ola_filter, stft
 from .wavio import write_csv
 
 log = logging.getLogger(__name__)
-BLOCK_FRAMES = 128  # frames per network call: convert, frame_losses, cumpow
+BLOCK_FRAMES = 128  # most frames per block: convert, frame_losses, cumpow
+BLOCK_VALUES = 2**16  # most fft_len-point spectrum values per block
 
 
-def map_blocks(fn, n_frames: int):
-    """fn(start, stop) over the BLOCK_FRAMES-frame blocks of n_frames
+def block_frames(cfg: AnalysisConfig) -> int:
+    """Frames per block: BLOCK_FRAMES, or fewer where fft_len is large, so
+    that frames times fft_len stays within BLOCK_VALUES (128 frames up to
+    fft_len 512, 32 at 2,048), and at least one."""
+    return max(1, min(BLOCK_FRAMES, BLOCK_VALUES // cfg.fft_len))
+
+
+def map_blocks(fn, n_frames: int, cfg: AnalysisConfig):
+    """fn(start, stop) over the block_frames(cfg)-frame blocks of n_frames
     frames, on one thread per CPU the process may use; yields the results
     in block order. The blocks do not depend on the thread count."""
-    starts = range(0, n_frames, BLOCK_FRAMES)
-    stops = [min(start + BLOCK_FRAMES, n_frames) for start in starts]
+    size = block_frames(cfg)
+    starts = range(0, n_frames, size)
+    stops = [min(start + size, n_frames) for start in starts]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # no affinity call on macOS or Windows
     workers = min(cpus, len(starts))
@@ -73,7 +82,7 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
         return start * cfg.hop, span, delay
 
     acc = np.zeros(n_frames * cfg.hop + taps - 1)
-    for at, span, delay in map_blocks(block, n_frames):
+    for at, span, delay in map_blocks(block, n_frames, cfg):
         acc[at:at + span.size] += span
     samples = acc[delay:delay + len(wave)]
     clipped = np.count_nonzero(samples > 1.0) + np.count_nonzero(samples < -1.0)
@@ -105,7 +114,7 @@ def frame_losses(model: AcousticModel, data: TrainingSet,
                              data.spectra(slice(start, stop)), tgt, taps,
                              model.cfg, gate=model.subband).frame_losses
 
-    return np.concatenate(list(map_blocks(block, len(data))))
+    return np.concatenate(list(map_blocks(block, len(data), model.cfg)))
 
 
 @dataclass
@@ -153,7 +162,7 @@ def cumulative_power(model: AcousticModel, data: TrainingSet) -> np.ndarray:
         cum = np.cumsum(filters * filters, axis=1)
         return (cum / cum[:, -1:]).sum(axis=0)
 
-    return sum(map_blocks(block, len(data))) / len(data)  # in frame order
+    return sum(map_blocks(block, len(data), cfg)) / len(data)  # in frame order
 
 
 def write_cumulative_power_csv(path, curve: np.ndarray) -> None:

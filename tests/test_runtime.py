@@ -16,11 +16,11 @@ from liftervc.synthetic import build_sweep_data, make_pair, synth_source
 
 from naive import naive_convert, naive_ola
 
-BLOCK = runtime.BLOCK_FRAMES
 # fft_len above FFT_CONV_THRESHOLD, so full-length filters take the FFT path.
 ORACLE_CFG = AnalysisConfig(sample_rate=16000, window_len=96, hop=32,
                             fft_len=128, cep_dim=8)
 ORACLE_GATE = SubbandGate(crossover_hz=3000.0, steepness_hz=300.0)
+BLOCK = runtime.block_frames(ORACLE_CFG)
 
 
 def random_model(cfg, seed):
@@ -277,20 +277,21 @@ def test_convert_is_bit_identical_across_worker_counts(monkeypatch, taps):
     assert all(np.array_equal(outputs[0], out) for out in outputs[1:])
 
 
-@pytest.mark.parametrize("gated", [False, True])
-def test_dataset_scores_are_bit_identical_across_worker_counts(monkeypatch,
-                                                               gated):
-    """frame_losses, plain and through the chain at 32 taps, eval_rmse and
-    cumulative_power split a dataset into the same blocks for any worker
-    count, and cumulative_power sums the blocks in frame order."""
-    model = random_model(ORACLE_CFG, 9)
-    model.subband = ORACLE_GATE if gated else None
-    r = np.random.default_rng(9)
-    n, c, hop = 3 * BLOCK + 5, ORACLE_CFG.cep_dim, ORACLE_CFG.hop
+def random_dataset(n, split, seed):
+    """A dataset of n frames in two utterances, the second from frame
+    split, with random cepstra and a random waveform framed at random
+    starts."""
+    r = np.random.default_rng(seed)
+    c, hop = ORACLE_CFG.cep_dim, ORACLE_CFG.hop
     wave = r.normal(size=n * hop + ORACLE_CFG.window_len)
-    data = TrainingSet(r.normal(size=(n, c)), r.normal(size=(n, c)), wave,
-                       r.integers(0, n * hop + 1, size=n), [0, BLOCK + 7, n],
+    return TrainingSet(r.normal(size=(n, c)), r.normal(size=(n, c)), wave,
+                       r.integers(0, n * hop + 1, size=n), [0, split, n],
                        ORACLE_CFG)
+
+
+def assert_scores_ignore_worker_count(monkeypatch, model, data):
+    """frame_losses, plain and through the chain at 32 taps, eval_rmse and
+    cumulative_power are bit-identical for 1, 2 and 3 workers."""
     scores = []
     for count in (1, 2, 3):
         cpus(monkeypatch, count)
@@ -301,6 +302,68 @@ def test_dataset_scores_are_bit_identical_across_worker_counts(monkeypatch,
                        cumulative_power(model, data)))
     for other in scores[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(scores[0], other))
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_dataset_scores_are_bit_identical_across_worker_counts(monkeypatch,
+                                                               gated):
+    """The dataset scores split a dataset into the same blocks for any
+    worker count, and cumulative_power sums the blocks in frame order."""
+    model = random_model(ORACLE_CFG, 9)
+    model.subband = ORACLE_GATE if gated else None
+    assert_scores_ignore_worker_count(monkeypatch, model,
+                                      random_dataset(3 * BLOCK + 5, BLOCK + 7, 9))
+
+
+def test_block_frames_caps_the_spectrum_values_per_block(monkeypatch,
+                                                         small_cfg):
+    """128 frames up to fft_len 512, 32 at 48 kHz (fft_len 2,048); both
+    limits are read at call time, and a block has at least one frame."""
+    cfgs = (small_cfg, ORACLE_CFG, AnalysisConfig.for_rate(16000),
+            AnalysisConfig.for_rate(48000))
+    assert [runtime.block_frames(cfg) for cfg in cfgs] == [128, 128, 128, 32]
+    monkeypatch.setattr(runtime, "BLOCK_FRAMES", 7)
+    assert [runtime.block_frames(cfg) for cfg in cfgs] == [7, 7, 7, 7]
+    monkeypatch.setattr(runtime, "BLOCK_VALUES", 1)
+    assert [runtime.block_frames(cfg) for cfg in cfgs] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("n", [1, 5 * 32, 5 * 32 + 1, 17 * 32 + 3])
+@pytest.mark.parametrize("gated", [False, True])
+def test_blocks_sized_by_the_spectrum_budget(monkeypatch, n, gated):
+    """With the budget at 5 spectra of ORACLE_CFG, every pass runs in
+    5-frame blocks: convert still equals the per-frame oracle, and its
+    output and the dataset scores do not depend on the worker count."""
+    monkeypatch.setattr(runtime, "BLOCK_VALUES", 5 * ORACLE_CFG.fft_len + 3)
+    design, sizes = runtime.conversion_filters, []
+
+    def recording(cep_d, *args, **kwargs):
+        sizes.append(len(cep_d))
+        return design(cep_d, *args, **kwargs)
+
+    monkeypatch.setattr(runtime, "conversion_filters", recording)
+    model = random_model(ORACLE_CFG, 11)
+    model.subband = ORACLE_GATE if gated else None
+    x = np.random.default_rng(n).normal(size=n) * 0.1
+    wave = Waveform(x, ORACLE_CFG.sample_rate)
+    outputs = []
+    for count in (1, 2, 3):
+        cpus(monkeypatch, count)
+        outputs.append(convert(wave, model, taps=12).samples)
+    n_frames = frame_count(n, ORACLE_CFG.hop)
+    blocks = [min(5, n_frames - start) for start in range(0, n_frames, 5)]
+    assert sorted(sizes) == sorted(3 * blocks)
+    assert all(np.array_equal(outputs[0], out) for out in outputs[1:])
+    want = naive_convert(x, model, 12, model.subband)
+    assert np.max(np.abs(outputs[0] - want)) < 1e-12
+    full = convert(wave, model).samples
+    assert np.max(np.abs(full - naive_convert(x, model, ORACLE_CFG.fft_len,
+                                              model.subband))) < 1e-12
+    data = random_dataset(3 * 5 + 2, 7, n)
+    assert_scores_ignore_worker_count(monkeypatch, model, data)
+    sizes.clear()
+    cumulative_power(model, data)
+    assert sorted(sizes) == [2, 5, 5, 5]
 
 
 def test_convert_without_affinity_call_uses_cpu_count(monkeypatch):
@@ -355,9 +418,9 @@ def test_convert_reraises_a_block_error(monkeypatch):
 
 def test_convert_memory_is_bounded_by_the_block(monkeypatch):
     """Traced peak of a gated full-length 48 kHz conversion with two
-    workers: under 64 MB for 16 s of audio, and under 40 bytes more per
-    added input sample from 4 s to 16 s (whole-file conversion needed
-    about 430)."""
+    workers: under 24 MB for 16 s of audio (27.3 MB with 128-frame blocks),
+    and under 40 bytes more per added input sample from 4 s to 16 s
+    (whole-file conversion needed about 430)."""
     cpus(monkeypatch, 2)
     cfg = AnalysisConfig.for_rate(48000)
     model = constant_model(cfg, default_differential(cfg))
@@ -373,5 +436,5 @@ def test_convert_memory_is_bounded_by_the_block(monkeypatch):
             peaks[seconds] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[16] < 64e6
+    assert peaks[16] < 24e6
     assert (peaks[16] - peaks[4]) / (12 * cfg.sample_rate) < 40.0
