@@ -9,6 +9,9 @@ carries it to eval, cumpow and convert), then
 prints one `sha256  name` line per artifact: the samples of a fixed-seed
 48 kHz `synth_source` and of both sides of a 1 s `make_pair` with edge
 silence (the corpus is at 16 kHz, so these pin the full-band generator),
+that source converted at 32 and 2,048 taps by a constant 48 kHz model
+emitting `default_differential` behind the default `SubbandGate` (so the
+gated, multi-block conversion path is pinned at a production geometry),
 the run document that
 `make_corpus` writes (with the scratch directory replaced by a fixed
 placeholder, so the hash does not depend on it), dataset arrays (each
@@ -45,7 +48,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from liftervc import AnalysisConfig, TrainingSet
+from liftervc import (AnalysisConfig, SubbandGate, TrainingSet,
+                      constant_model, convert)
 from liftervc.cli import main as cli
 from liftervc.config import SPLITS
 from liftervc.model import MAGIC
@@ -97,12 +101,16 @@ def main(argv=None) -> int:
     ap.add_argument("--work", required=True, help="scratch directory")
     work = Path(ap.parse_args(argv).work)
     full = AnalysisConfig.for_rate(48000)
-    out = {"synth_source@48k": digest(
-        synth_source(full, 1.0, np.random.default_rng(21), 0.1).samples.tobytes())}
+    source = synth_source(full, 1.0, np.random.default_rng(21), 0.1)
+    out = {"synth_source@48k": digest(source.samples.tobytes())}
     pair = make_pair(full, default_differential(full), 1.0,
                      np.random.default_rng(21), 0.1)
     for side, wave in zip(("src", "tgt"), pair):
         out[f"make_pair@48k:{side}"] = digest(wave.samples.tobytes())
+    model = constant_model(full, default_differential(full))
+    for taps in (32, full.fft_len):
+        wave = convert(source, model, taps, SubbandGate())
+        out[f"convert@48k:gated,l{taps}"] = digest(wave.samples.tobytes())
 
     cfg = AnalysisConfig(window_len=48, hop=16, fft_len=64, cep_dim=8)
     make_corpus(work, cfg=cfg, n_train=3, n_val=2, n_test=2, duration_s=0.4,

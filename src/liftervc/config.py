@@ -35,7 +35,7 @@ class AnalysisConfig:
     5 ms hop, 512-point FFT, 40 cepstral dimensions.
     """
 
-    sample_rate: int = 16000
+    sample_rate: int = NARROW_BAND_RATE
     window_len: int = 400
     hop: int = 80
     fft_len: int = 512
@@ -119,10 +119,14 @@ class SubbandGate:
             raise ValueError("crossover must lie below the Nyquist frequency")
 
 
-def _reject_unknown(doc: dict, allowed, where: str) -> None:
-    unknown = set(doc) - set(allowed)
+def _section(doc, where: str, allowed=None) -> dict:
+    """A config section: a JSON object with only allowed keys (None: any)."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{where} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(doc if allowed is None else allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    return doc
 
 
 @dataclass
@@ -148,12 +152,13 @@ class RunConfig:
             raise ValueError("taps must not exceed fft_len")
         if self.subband is not None:
             self.subband.check_below_nyquist(self.analysis)
-        _reject_unknown(self.data, SPLITS, "data")
+        _section(self.data, "data", SPLITS)
         for split, pairs in self.data.items():
-            for pair in pairs:
-                if len(pair) != 2 or not all(isinstance(p, str) for p in pair):
+            for pair in pairs if isinstance(pairs, (list, tuple)) else [pairs]:
+                if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                        or not all(isinstance(p, str) for p in pair)):
                     raise ValueError(f"each data.{split} entry must be a [source, "
-                                     f"target] pair of paths, got {list(pair)!r}")
+                                     f"target] pair of paths, got {pair!r}")
         self.data = {split: [tuple(p) for p in self.data[split]]
                      for split in SPLITS if split in self.data}
 
@@ -163,14 +168,15 @@ class RunConfig:
         WAV file exists. Keys left out take the dataclass defaults, and the
         analysis defaults those of its sample rate; unknown keys are rejected
         in every section."""
-        raw = json.loads(Path(path).read_text())
-        _reject_unknown(raw, {f.name for f in fields(cls)}, "config")
-        analysis = raw.pop("analysis", {})
+        raw = _section(json.loads(Path(path).read_text()), "config",
+                       {f.name for f in fields(cls)})
+        analysis = _section(raw.pop("analysis", {}), "analysis")
         sub = raw.pop("subband", None)
         cfg = cls(analysis=AnalysisConfig.for_rate(
                       analysis.pop("sample_rate", NARROW_BAND_RATE), **analysis),
-                  train=TrainConfig(**raw.pop("train", {})),
-                  subband=None if sub is None else SubbandGate(**sub), **raw)
+                  train=TrainConfig(**_section(raw.pop("train", {}), "train")),
+                  subband=None if sub is None
+                  else SubbandGate(**_section(sub, "subband")), **raw)
         if check_paths:
             missing = [p for pairs in cfg.data.values() for pair in pairs
                        for p in pair if not Path(p).exists()]

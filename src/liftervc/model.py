@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .cepstral import Lifter
-from .config import AnalysisConfig, SubbandGate
+from .config import FULL_BAND_RATE, AnalysisConfig, SubbandGate
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -151,7 +151,7 @@ class GluLayer:
 
 
 def default_hidden(cfg: AnalysisConfig) -> tuple:
-    return FULL_BAND_HIDDEN if cfg.sample_rate >= 48000 else NARROW_BAND_HIDDEN
+    return FULL_BAND_HIDDEN if cfg.sample_rate >= FULL_BAND_RATE else NARROW_BAND_HIDDEN
 
 
 class AcousticModel:
@@ -356,10 +356,7 @@ def _config_block(model: AcousticModel) -> bytes:
 def save_model(model: AcousticModel, path) -> None:
     blob = _config_block(model)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+        fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob)) + blob)
         for _, arr in model.param_entries():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
@@ -368,10 +365,9 @@ def load_model(path, expected_cfg: AnalysisConfig | None = None) -> AcousticMode
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 8 or data[:len(MAGIC)] != MAGIC:
         raise ModelFileError("not a model file (bad magic)")
-    version, = struct.unpack_from("<I", data, len(MAGIC))
+    version, blob_len = struct.unpack_from("<II", data, len(MAGIC))
     if version != FORMAT_VERSION:
         raise ModelFileError(f"unsupported model format version {version}")
-    blob_len, = struct.unpack_from("<I", data, len(MAGIC) + 4)
     offset = len(MAGIC) + 8
     if offset + blob_len > len(data):
         raise ModelFileError("corrupt model file (truncated config)")

@@ -19,32 +19,27 @@ from .spectral import Waveform, frame_count, ola_filter, stft
 from .wavio import write_csv
 
 log = logging.getLogger(__name__)
-BLOCK_FRAMES = 128  # most frames per block: convert, frame_losses, cumpow
 BLOCK_VALUES = 2**16  # most fft_len-point spectrum values per block
 
 
 def block_frames(cfg: AnalysisConfig) -> int:
-    """Frames per block: BLOCK_FRAMES, or fewer where fft_len is large, so
-    that frames times fft_len stays within BLOCK_VALUES (128 frames up to
-    fft_len 512, 32 at 2,048), and at least one."""
-    return max(1, min(BLOCK_FRAMES, BLOCK_VALUES // cfg.fft_len))
+    """Frames per block: as many as keep frames times fft_len within
+    BLOCK_VALUES (128 at 16 kHz, 32 at 48 kHz), and at least one."""
+    return max(1, BLOCK_VALUES // cfg.fft_len)
 
 
 def map_blocks(fn, n_frames: int, cfg: AnalysisConfig):
     """fn(start, stop) over the block_frames(cfg)-frame blocks of n_frames
-    frames, on one thread per CPU the process may use; yields the results
-    in block order. The blocks do not depend on the thread count."""
+    frames, on a pool of one thread per CPU the process may use (it starts
+    no more threads than there are blocks); yields the results in block
+    order. The blocks do not depend on the thread count."""
     size = block_frames(cfg)
     starts = range(0, n_frames, size)
     stops = [min(start + size, n_frames) for start in starts]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # no affinity call on macOS or Windows
-    workers = min(cpus, len(starts))
-    if workers < 2:
-        yield from map(fn, starts, stops)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            yield from pool.map(fn, starts, stops)
+    with ThreadPoolExecutor(cpus) as pool:
+        yield from pool.map(fn, starts, stops)
 
 
 def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,

@@ -7,9 +7,10 @@ import wave
 
 import numpy as np
 
+from .config import FULL_BAND_RATE, NARROW_BAND_RATE
 from .spectral import Waveform
 
-SUPPORTED_RATES = (16000, 48000)
+SUPPORTED_RATES = (NARROW_BAND_RATE, FULL_BAND_RATE)
 SCALE = 32768.0
 
 

@@ -140,6 +140,16 @@ def test_run_config_rejects_unknown_keys(tmp_path):
     ({"subband": {"crossover": 4000}}, TypeError, "'crossover'"),
     ({"data": {"training": [["a.wav", "b.wav"]]}}, ValueError,
      r"unknown data keys: \['training'\]"),
+    ([], TypeError, r"^config must be a JSON object, got \[\]$"),
+    ({"analysis": [1, 2]}, TypeError,
+     r"^analysis must be a JSON object, got \[1, 2\]$"),
+    ({"train": 5}, TypeError, "^train must be a JSON object, got 5$"),
+    ({"subband": "on"}, TypeError, "^subband must be a JSON object, got 'on'$"),
+    ({"data": {"train": [None]}}, ValueError,
+     r"^each data\.train entry must be a \[source, target\] pair of paths, "
+     "got None$"),
+    ({"data": {"train": "a.wav"}}, ValueError,
+     r"^each data\.train entry .* got 'a\.wav'$"),
 ])
 def test_run_config_rejects_unknown_section_keys(tmp_path, doc, exc, match):
     path = tmp_path / "config.json"

@@ -317,13 +317,15 @@ def test_dataset_scores_are_bit_identical_across_worker_counts(monkeypatch,
 
 def test_block_frames_caps_the_spectrum_values_per_block(monkeypatch,
                                                          small_cfg):
-    """128 frames up to fft_len 512, 32 at 48 kHz (fft_len 2,048); both
-    limits are read at call time, and a block has at least one frame."""
+    """A block holds as many frames as keep frames times fft_len within
+    BLOCK_VALUES: 1,024 at fft_len 64, 512 at 128, 128 at 16 kHz (512) and
+    32 at 48 kHz (2,048). The budget is read at call time, and a block has
+    at least one frame."""
     cfgs = (small_cfg, ORACLE_CFG, AnalysisConfig.for_rate(16000),
             AnalysisConfig.for_rate(48000))
-    assert [runtime.block_frames(cfg) for cfg in cfgs] == [128, 128, 128, 32]
-    monkeypatch.setattr(runtime, "BLOCK_FRAMES", 7)
-    assert [runtime.block_frames(cfg) for cfg in cfgs] == [7, 7, 7, 7]
+    assert [runtime.block_frames(cfg) for cfg in cfgs] == [1024, 512, 128, 32]
+    monkeypatch.setattr(runtime, "BLOCK_VALUES", 7 * 2048 + 5)
+    assert [runtime.block_frames(cfg) for cfg in cfgs] == [224, 112, 28, 7]
     monkeypatch.setattr(runtime, "BLOCK_VALUES", 1)
     assert [runtime.block_frames(cfg) for cfg in cfgs] == [1, 1, 1, 1]
 
@@ -368,8 +370,8 @@ def test_blocks_sized_by_the_spectrum_budget(monkeypatch, n, gated):
 
 def test_convert_without_affinity_call_uses_cpu_count(monkeypatch):
     """Where os.sched_getaffinity does not exist (macOS, Windows), convert
-    sizes its pool by os.cpu_count(), or runs inline when that is unknown,
-    with the one-worker output."""
+    sizes its pool by os.cpu_count(), or runs one worker when that is
+    unknown, with the one-worker output."""
     model = random_model(ORACLE_CFG, 7)
     wave = Waveform(np.random.default_rng(7).normal(size=3 * BLOCK * 32) * 0.1,
                     ORACLE_CFG.sample_rate)
@@ -379,6 +381,26 @@ def test_convert_without_affinity_call_uses_cpu_count(monkeypatch):
     for count in (2, None):
         monkeypatch.setattr(runtime.os, "cpu_count", lambda: count)
         assert np.array_equal(convert(wave, model, taps=16).samples, want)
+
+
+@pytest.mark.parametrize("n_blocks,count", [(1, 2), (3, 1)])
+def test_convert_runs_every_block_on_the_pool(monkeypatch, n_blocks, count):
+    """A one-block conversion, and a several-block one on one CPU, still
+    run their blocks on a worker thread, never on the calling thread."""
+    cpus(monkeypatch, count)
+    design, threads = runtime.conversion_filters, []
+
+    def recording(cep_d, *args, **kwargs):
+        threads.append(threading.get_ident())
+        return design(cep_d, *args, **kwargs)
+
+    monkeypatch.setattr(runtime, "conversion_filters", recording)
+    model = random_model(ORACLE_CFG, 8)
+    wave = Waveform(np.zeros(n_blocks * BLOCK * ORACLE_CFG.hop),
+                    ORACLE_CFG.sample_rate)
+    convert(wave, model, taps=16)
+    assert len(threads) == n_blocks
+    assert threading.get_ident() not in threads
 
 
 def test_convert_leaves_no_thread_behind(monkeypatch):

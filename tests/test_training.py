@@ -198,11 +198,11 @@ def test_cepstral_loss_of_perfect_constant_model(small_cfg, rng,
     model = constant_model(small_cfg, delta)
     net = AcousticModel(small_cfg, hidden=(4, 3), seed=0)
     set_normalization(net, data)
-    assert runtime.BLOCK_FRAMES == 128 and len(data) > 128
+    assert len(data) > runtime.block_frames(small_cfg) > 7
     scores = (lambda: frame_losses(net, data, 12),
               lambda: cumulative_power(net, data))
     want = [score() for score in scores]
-    monkeypatch.setattr(runtime, "BLOCK_FRAMES", 7)
+    monkeypatch.setattr(runtime, "BLOCK_VALUES", 7 * small_cfg.fft_len)
     got = frame_losses(model, data)
     err = data.src_cep + delta - data.tgt_cep
     assert np.allclose(got, (err * err).sum(axis=1), rtol=1e-12, atol=0.0)
