@@ -59,8 +59,7 @@ def _load_eval_data(path, model: AcousticModel) -> TrainingSet:
     source,target WAV paths (aligned on the fly, no silence trimming)."""
     path = Path(path)
     if path.suffix == ".npz":
-        data, _ = TrainingSet.load(path, model.cfg)
-        return data
+        return TrainingSet.load(path, model.cfg)[0]
     pairs = [(wav_read(s), wav_read(t)) for s, t in _read_pairs_csv(path)]
     return build_dataset(pairs, model.cfg, trim_db=None)
 
@@ -127,10 +126,9 @@ def cmd_train_lifter(args) -> int:
 
 def cmd_convert(args) -> int:
     model = load_model(args.model)
-    wave = wav_read(args.infile)
-    out = convert(wave, model, taps=args.taps)
+    taps = model.cfg.check_taps(args.taps)
+    out = convert(wav_read(args.infile), model, taps=taps)
     wav_write(args.outfile, out)
-    taps = args.taps if args.taps is not None else model.cfg.fft_len
     print(f"converted {args.infile} -> {args.outfile} "
           f"({taps} taps, {out.duration:.2f} s)")
     return 0
@@ -138,8 +136,8 @@ def cmd_convert(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
+    taps = model.cfg.check_taps(args.taps)  # before any WAV is read
     data = _load_eval_data(args.pairs, model)
-    taps = args.taps if args.taps is not None else model.cfg.fft_len
     report = eval_rmse(model, data, taps)
     if args.out:
         report.to_csv(args.out)

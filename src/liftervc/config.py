@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -29,7 +30,7 @@ def _check_types(obj) -> None:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Frame-analysis parameters: window, hop, FFT size, cepstrum order.
+    """Frame-analysis parameters: Hann window length, hop, FFT size, cepstra.
 
     Defaults correspond to narrow-band (16 kHz) processing: 25 ms window,
     5 ms hop, 512-point FFT, 40 cepstral dimensions.
@@ -40,7 +41,6 @@ class AnalysisConfig:
     hop: int = 80
     fft_len: int = 512
     cep_dim: int = 40
-    window: str = "hann"
 
     def __post_init__(self) -> None:
         _check_types(self)
@@ -56,8 +56,24 @@ class AnalysisConfig:
             raise ValueError("hop must not exceed window_len")
         if self.cep_dim > self.fft_len // 2:
             raise ValueError("cep_dim must not exceed fft_len / 2")
-        if self.window not in ("hann", "rectangular"):
-            raise ValueError(f"unknown analysis window: {self.window!r}")
+
+    @classmethod
+    def from_doc(cls, doc) -> "AnalysisConfig":
+        """A model or dataset file's stored settings: every field (a missing one
+        reads as None, which none accepts), other keys ignored, window hann."""
+        doc = _section(doc, "stored analysis settings")
+        if doc.get("window", "hann") != "hann":
+            raise ValueError(f"stored analysis window {doc['window']!r} is not hann")
+        return cls(**{f.name: doc.get(f.name) for f in fields(cls)})
+
+    def check_taps(self, taps) -> int:
+        """taps as an int: None means fft_len, and anything but an integer in
+        1..fft_len (a bool included) raises the one tap-count error."""
+        taps = self.fft_len if taps is None else taps
+        if (isinstance(taps, bool) or not isinstance(taps, numbers.Integral)
+                or not 0 < taps <= self.fft_len):
+            raise ValueError(f"truncation length must be in 1..{self.fft_len}")
+        return int(taps)
 
     @property
     def bins(self) -> int:
@@ -148,8 +164,7 @@ class RunConfig:
         if self.silence_threshold_db <= 0:
             raise ValueError("RunConfig.silence_threshold_db must be positive, "
                              f"got {self.silence_threshold_db!r}")
-        if self.train.taps > self.analysis.fft_len:
-            raise ValueError("taps must not exceed fft_len")
+        self.analysis.check_taps(self.train.taps)
         if self.subband is not None:
             self.subband.check_below_nyquist(self.analysis)
         _section(self.data, "data", SPLITS)

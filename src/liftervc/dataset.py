@@ -94,20 +94,19 @@ class TrainingSet:
     @classmethod
     def load(cls, path, cfg: AnalysisConfig | None = None
              ) -> "tuple[TrainingSet, AnalysisConfig]":
-        with np.load(path) as data:
-            old = {"src_half", "src_spec"} & set(data.files)
-            if old:  # the spectra older versions stored
-                raise ValueError(f"{path}: {old.pop()} holds spectra from an older "
-                                 "version; re-run `liftervc prep` to rewrite it")
-            meta = AnalysisConfig(**json.loads(str(data["meta"])))
-            if cfg is not None and meta != cfg:
-                raise ValueError(
-                    f"dataset analysis config {meta} does not match expected {cfg}")
-            arrays = {name: data[name] for name in ARRAYS}
         try:
-            return cls(**arrays, cfg=meta), meta
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            with np.load(path) as data:
+                old = {"src_half", "src_spec"} & set(data.files)
+                if old:  # the spectra older versions stored
+                    raise ValueError(f"{old.pop()} holds spectra from an older "
+                                     "version; re-run `liftervc prep` to rewrite it")
+                meta = AnalysisConfig.from_doc(json.loads(str(data["meta"])))
+                if cfg is not None and meta != cfg:
+                    raise ValueError(f"dataset analysis config {meta} does not "
+                                     f"match expected {cfg}")
+                return cls(**{name: data[name] for name in ARRAYS}, cfg=meta), meta
+        except (ValueError, TypeError, KeyError) as exc:  # KeyError: no such array
+            raise ValueError(f"{path}: {exc.args[0]}") from None
 
 
 def build_dataset(waves: "list[tuple[Waveform, Waveform]]", cfg: AnalysisConfig,

@@ -56,8 +56,7 @@ def design_filter(spec_d: np.ndarray, cfg: AnalysisConfig, taps: int,
     """
     if spec_d.shape[-1] != cfg.bins:
         raise ValueError(f"expected {cfg.bins} bins, got {spec_d.shape[-1]}")
-    if not 0 < taps <= cfg.fft_len:
-        raise ValueError(f"truncation length must be in 1..{cfg.fft_len}")
+    taps = cfg.check_taps(taps)
     delay = 0
     if gate is not None:
         delay, scale, offset = _gate_blend(gate, cfg, taps)
@@ -78,8 +77,7 @@ def design_filter_adjoint(g_taps: np.ndarray, cfg: AnalysisConfig,
     and the gate's multiply-add by the conjugate of its factor w * r.
     """
     n = cfg.fft_len
-    if not 0 < g_taps.shape[-1] <= n:
-        raise ValueError(f"gradient must have 1..{n} taps")
+    cfg.check_taps(g_taps.shape[-1])
     g_spec = np.fft.rfft(g_taps, n, axis=-1) * (bin_weights(n) / n)
     if gate is None:
         return g_spec

@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import json
 import struct
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -364,17 +364,16 @@ def save_model(model: AcousticModel, path) -> None:
 def load_model(path, expected_cfg: AnalysisConfig | None = None) -> AcousticModel:
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 8 or data[:len(MAGIC)] != MAGIC:
-        raise ModelFileError("not a model file (bad magic)")
+        raise ModelFileError(f"{path}: not a model file (bad magic)")
     version, blob_len = struct.unpack_from("<II", data, len(MAGIC))
     if version != FORMAT_VERSION:
-        raise ModelFileError(f"unsupported model format version {version}")
+        raise ModelFileError(f"{path}: unsupported model format version {version}")
     offset = len(MAGIC) + 8
     if offset + blob_len > len(data):
-        raise ModelFileError("corrupt model file (truncated config)")
+        raise ModelFileError(f"{path}: corrupt model file (truncated config)")
     try:
         doc = json.loads(data[offset:offset + blob_len])
-        cfg = AnalysisConfig(**{f.name: doc[f.name]
-                                for f in fields(AnalysisConfig)})
+        cfg = AnalysisConfig.from_doc(doc)
         hidden = tuple(doc["hidden"])
         if not all(type(h) is int and h > 0 for h in hidden):
             raise ValueError(f"hidden sizes must be positive ints, got {hidden}")
@@ -385,10 +384,10 @@ def load_model(path, expected_cfg: AnalysisConfig | None = None) -> AcousticMode
         if doc["bn_eps"] != BN_EPS:  # fold() and forward() divide by BN_EPS
             raise ValueError(f"bn_eps {doc['bn_eps']!r} is not {BN_EPS}")
     except (ValueError, KeyError, TypeError) as exc:
-        raise ModelFileError(f"corrupt model file (bad config: {exc})") from exc
+        raise ModelFileError(f"{path}: corrupt model file (bad config: {exc})") from exc
     if expected_cfg is not None and cfg != expected_cfg:
-        raise ModelFileError(
-            f"model analysis config {cfg} does not match expected {expected_cfg}")
+        raise ModelFileError(f"{path}: model analysis config {cfg} does not "
+                             f"match expected {expected_cfg}")
     # Size the file by its config before allocating anything: per GLU layer
     # two branches of weights, bias and four batch-norm vectors, around them
     # four normalization vectors, the lifter and the output projection.
@@ -399,7 +398,7 @@ def load_model(path, expected_cfg: AnalysisConfig | None = None) -> AcousticMode
     expected = offset + 8 * n_params
     if len(data) != expected:
         problem = "truncated" if len(data) < expected else "trailing bytes"
-        raise ModelFileError(f"corrupt model file ({problem}: {len(data)} "
+        raise ModelFileError(f"{path}: corrupt model file ({problem}: {len(data)} "
                              f"bytes, its config implies {expected})")
 
     model = AcousticModel(cfg, hidden=hidden, seed=0)
@@ -407,7 +406,7 @@ def load_model(path, expected_cfg: AnalysisConfig | None = None) -> AcousticMode
     for name, arr in model.param_entries():
         values = np.frombuffer(data, dtype="<f8", count=arr.size, offset=offset)
         if not np.isfinite(values).all():
-            raise ModelFileError(f"corrupt model file (non-finite {name})")
+            raise ModelFileError(f"{path}: corrupt model file (non-finite {name})")
         arr[...] = values.reshape(arr.shape)
         offset += values.nbytes
     return model

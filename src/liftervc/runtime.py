@@ -58,10 +58,7 @@ def convert(wave: Waveform, model: AcousticModel, taps: int | None = None,
     if wave.sample_rate != cfg.sample_rate:
         raise ValueError(
             f"sample rate {wave.sample_rate} does not match model ({cfg.sample_rate})")
-    if taps is None:
-        taps = cfg.fft_len
-    if not 0 < taps <= cfg.fft_len:  # before the accumulator is sized by it
-        raise ValueError(f"truncation length must be in 1..{cfg.fft_len}")
+    taps = cfg.check_taps(taps)  # before the accumulator is sized by it
     if gate is None:
         gate = model.subband
     n_frames = frame_count(len(wave), cfg.hop)

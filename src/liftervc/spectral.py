@@ -44,9 +44,7 @@ def frame_count(n_samples: int, hop: int) -> int:
 
 
 def analysis_window(cfg: AnalysisConfig) -> np.ndarray:
-    """Periodic Hann (or all-ones) window of length cfg.window_len."""
-    if cfg.window == "rectangular":
-        return np.ones(cfg.window_len)
+    """The periodic Hann window of length cfg.window_len, the only window."""
     n = np.arange(cfg.window_len)
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / cfg.window_len)
 
@@ -159,7 +157,6 @@ def ola_filter(samples: np.ndarray, filters: np.ndarray,
     if n_frames != frame_count(len(samples), cfg.hop):
         raise ValueError(f"{n_frames} filters do not match {len(samples)} "
                          f"samples at hop {cfg.hop}")
-    if taps == 0 or taps > cfg.fft_len:
-        raise ValueError(f"filter length must be in 1..{cfg.fft_len}")
+    cfg.check_taps(taps)
     seg = _span(samples, 0, n_frames * cfg.hop).reshape(n_frames, cfg.hop)
     return (_ola_fft if taps > FFT_CONV_THRESHOLD else _ola_direct)(seg, filters)

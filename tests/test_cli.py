@@ -11,6 +11,7 @@ from liftervc import (AcousticModel, AnalysisConfig, SubbandGate, TrainingSet,
                       Waveform, convert, load_model, save_model, wav_read,
                       wav_write)
 from liftervc.cli import main
+from liftervc.dataset import ARRAYS
 from liftervc.spectral import frame_count
 from liftervc.synthetic import make_corpus
 
@@ -175,7 +176,8 @@ def test_convert_missing_model_fails(tmp_path, capsys):
 
 def test_train_lifter_rejects_bad_taps(workspace, serving, tmp_path, capsys):
     """A tap count outside 1..fft_len fails with one line and no output,
-    whether train-lifter, convert or eval is given it."""
+    whether train-lifter, convert or eval is given it; eval fails before it
+    reads a WAV of its pairs."""
     code, out, err = run_cli("train-lifter", "--config",
                              workspace / "config.json", "--taps", 0,
                              capsys=capsys)
@@ -183,15 +185,17 @@ def test_train_lifter_rejects_bad_taps(workspace, serving, tmp_path, capsys):
     assert "taps" in err
     root, _ = serving
     model, src = root / "model.lvc", root / "src.wav"
-    pairs = tmp_path / "pairs.csv"
+    pairs, missing = tmp_path / "pairs.csv", tmp_path / "missing.csv"
     pairs.write_text(f"{src},{src}\n")
+    missing.write_text(f"{tmp_path / 'no.wav'},{src}\n")
     out_path = tmp_path / "out"
     for argv in (("convert", "--in", src, "--out", out_path, "--taps", 0),
                  ("convert", "--in", src, "--out", out_path, "--taps", 65),
                  ("convert", "--in", src, "--out", out_path, "--taps", -100000),
                  ("convert", "--in", src, "--out", out_path,
                   "--taps", 10000000000000),
-                 ("eval", "--pairs", pairs, "--out", out_path, "--taps", 65)):
+                 ("eval", "--pairs", pairs, "--out", out_path, "--taps", 65),
+                 ("eval", "--pairs", missing, "--out", out_path, "--taps", 65)):
         code, out, err = run_cli(argv[0], "--model", model, *argv[1:],
                                  capsys=capsys)
         assert code == 1, argv
@@ -405,6 +409,57 @@ def test_dataset_load_rejects_tampered_arrays(pretrained, tmp_path, capsys,
         assert err.startswith(f"error: {tmp_path / 'train.npz'}: {key} ")
         assert problem in err and err.count("\n") == 1
     assert not (tmp_path / "model.lvc").exists()
+
+
+def _edit_meta(arrays, **changes):
+    """arrays with its meta document updated by changes (None: deleted)."""
+    meta = json.loads(str(arrays["meta"]))
+    meta.update(changes)
+    meta = {key: value for key, value in meta.items() if value is not None}
+    arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
+
+
+@pytest.mark.parametrize("tamper,problem", [
+    (lambda a: a.pop("tgt_cep"), "tgt_cep is not a file in the archive"),
+    (lambda a: a.pop("meta"), "meta is not a file in the archive"),
+    (lambda a: _edit_meta(a, fft_len=None),
+     "AnalysisConfig.fft_len must be int, got None"),
+    (lambda a: _edit_meta(a, window="rectangular"),
+     "stored analysis window 'rectangular' is not hann"),
+    (None, "pickled"),
+], ids=["no-array", "no-meta", "meta-lacks-field", "rectangular-window",
+        "not-npz"])
+def test_dataset_load_rejects_malformed_files(pretrained, tmp_path, tamper,
+                                              problem):
+    """A file that is not a dataset, one without an array or its meta, and
+    a meta that lacks a field or names a window other than Hann are each
+    refused in one line that names the file, with no config to compare."""
+    path = tmp_path / "train.npz"
+    if tamper is None:
+        path.write_text("source,target\n")
+    else:
+        with np.load(pretrained / "train.npz") as data:
+            arrays = dict(data)
+        tamper(arrays)
+        np.savez(path, **arrays)
+    with pytest.raises(ValueError) as err:
+        TrainingSet.load(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: ") and problem in message
+    assert "\n" not in message
+
+
+def test_dataset_with_a_stored_hann_window_loads(pretrained, tmp_path):
+    """Datasets written while the window was a setting hold "window":
+    "hann" in their meta; they load with every array bit for bit."""
+    with np.load(pretrained / "train.npz") as data:
+        arrays = dict(data)
+    _edit_meta(arrays, window="hann")
+    np.savez(tmp_path / "train.npz", **arrays)
+    data, cfg = TrainingSet.load(tmp_path / "train.npz")
+    assert cfg == TrainingSet.load(pretrained / "train.npz")[1]
+    for name in ARRAYS:
+        assert np.array_equal(getattr(data, name), arrays[name]), name
 
 
 def test_prep_rejects_odd_fft_len(workspace, tmp_path, capsys):

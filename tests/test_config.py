@@ -32,7 +32,7 @@ def test_analysis_config_validation():
         AnalysisConfig(hop=500)  # longer than window
     with pytest.raises(ValueError):
         AnalysisConfig(cep_dim=300)  # above fft_len/2
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="'window'"):  # Hann is the only one
         AnalysisConfig(window="blackman")
     with pytest.raises(ValueError):
         AnalysisConfig(hop=0)
@@ -75,7 +75,7 @@ def test_run_config_document_roundtrip(tmp_path):
     back unchanged."""
     doc = {
         "analysis": {"sample_rate": 48000, "window_len": 1000, "hop": 200,
-                     "fft_len": 1024, "cep_dim": 60, "window": "rectangular"},
+                     "fft_len": 1024, "cep_dim": 60},
         "train": {"taps": 96, "pretrain_lr": 0.002, "finetune_lr": 3e-05,
                   "batch_size": 64, "epochs": 7, "seed": 5},
         "data": {"train": [["a.wav", "b.wav"]], "val": [["c.wav", "d.wav"]],
@@ -150,6 +150,7 @@ def test_run_config_rejects_unknown_keys(tmp_path):
      "got None$"),
     ({"data": {"train": "a.wav"}}, ValueError,
      r"^each data\.train entry .* got 'a\.wav'$"),
+    ({"analysis": {"window": "hann"}}, TypeError, "'window'"),  # Hann only
 ])
 def test_run_config_rejects_unknown_section_keys(tmp_path, doc, exc, match):
     path = tmp_path / "config.json"
@@ -181,7 +182,8 @@ def test_run_config_checks_paths(tmp_path):
 def test_run_config_rejects_taps_beyond_fft(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"train": {"taps": 4096}}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^truncation length must be in 1\.\.512$"):
         RunConfig.from_json(path)
 
 

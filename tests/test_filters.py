@@ -143,10 +143,12 @@ def test_design_rejects_wrong_bin_count(small_cfg):
     for bins in (n // 2, n):  # half spectra have n // 2 + 1 bins
         with pytest.raises(ValueError):
             design_filter(np.ones((2, bins), complex), small_cfg, 8)
-    for taps in (0, n + 1):
-        with pytest.raises(ValueError, match="truncation length"):
+    message = rf"^truncation length must be in 1\.\.{n}$"
+    for taps in (0, n + 1, 32.0, True, np.True_):
+        with pytest.raises(ValueError, match=message):
             design_filter(np.ones((2, small_cfg.bins), complex), small_cfg,
                           taps)
-        with pytest.raises(ValueError):
+    for taps in (0, n + 1):
+        with pytest.raises(ValueError, match=message):
             design_filter_adjoint(np.ones((2, taps)), small_cfg)
 

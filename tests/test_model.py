@@ -303,6 +303,20 @@ def test_load_without_subband_key_is_ungated(small_cfg, tmp_path):
     assert load_model(path).subband is None
 
 
+def test_load_accepts_a_stored_hann_window(small_cfg, tmp_path):
+    """Files written while the window was a setting hold "window": "hann"
+    in their config block; they load with every parameter bit for bit."""
+    path = tmp_path / "m.lvc"
+    model = AcousticModel(small_cfg, hidden=(4, 3), seed=3)
+    save_model(model, path)
+    edit_config_block(path, lambda doc: doc.update(window="hann"))
+    loaded = load_model(path)
+    assert loaded.cfg == small_cfg
+    for (name, want), (_, got) in zip(model.param_entries(),
+                                      loaded.param_entries()):
+        assert np.array_equal(got, want), name
+
+
 @pytest.mark.parametrize("changes,match", [
     ({"subband": {"crossover_hz": 3000.0, "steepness_hz": 200.0,
                   "enabled": True}}, "enabled"),
@@ -317,6 +331,7 @@ def test_load_without_subband_key_is_ungated(small_cfg, tmp_path):
     ({"subband": {"crossover_hz": float("nan"), "steepness_hz": 200.0}},
      "SubbandGate.crossover_hz must be finite"),
     ({"bn_eps": 1e-3}, "bn_eps"),
+    ({"window": "rectangular"}, "stored analysis window 'rectangular'"),
 ])
 def test_load_rejects_bad_config_values(small_cfg, tmp_path, changes, match):
     path = tmp_path / "m.lvc"

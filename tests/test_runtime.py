@@ -87,6 +87,9 @@ def test_convert_truncation_matches_manual_ola(small_cfg, rng):
     filters = np.tile(h, (n_frames, 1))
     want = naive_ola(wave.samples, filters, small_cfg.hop)
     assert np.allclose(out.samples, np.clip(want, -1, 1), atol=1e-10)
+    # A numpy integer is a tap count like any other.
+    assert np.array_equal(convert(wave, model, taps=np.int64(taps)).samples,
+                          out.samples)
 
 
 def test_convert_filters_each_block_through_ola_filter(monkeypatch, rng):
@@ -121,6 +124,19 @@ def test_convert_rejects_rate_mismatch(small_cfg):
     model = constant_model(small_cfg, np.zeros(small_cfg.cep_dim))
     with pytest.raises(ValueError):
         convert(Waveform(np.zeros(100), 48000), model)
+
+
+@pytest.mark.parametrize("taps", [0, 65, 32.0, True, np.True_])
+def test_convert_and_eval_refuse_bad_taps(small_cfg, rng, taps):
+    """A tap count outside 1..fft_len, a float or a bool is refused by
+    convert and eval_rmse with the one tap-count message."""
+    model = constant_model(small_cfg, np.zeros(small_cfg.cep_dim))
+    _, val = build_sweep_data(small_cfg, 1, 1, 0.2, 1, np.zeros(small_cfg.cep_dim))
+    message = r"^truncation length must be in 1\.\.64$"
+    with pytest.raises(ValueError, match=message):
+        convert(synth_source(small_cfg, 0.1, rng), model, taps=taps)
+    with pytest.raises(ValueError, match=message):
+        eval_rmse(model, val, taps)
 
 
 def test_eval_rmse_matches_chain_loss(small_cfg, rng):
